@@ -12,12 +12,13 @@ test:
 
 # The packages with cross-goroutine surface: the sharded experiment
 # harness, the simulator substrate it fans out over, the real-UDP
-# runtime (whose loopback E2E runs 64 concurrent flows), and the
-# parallel model checker. One engine per goroutine is the contract;
+# runtime (whose loopback E2E runs 64 concurrent flows), the session
+# layer on top of it, and the parallel model checker. The package list
+# matches the CI race job. One engine per goroutine is the contract;
 # -race pins it, including through BenchmarkE11MultiFlow. -shuffle=on
 # surfaces test-order dependencies while we're paying for the rerun.
 race:
-	$(GO) test -race -shuffle=on ./internal/harness/ ./internal/netsim/ ./internal/arq/ ./internal/rtnet/ ./internal/verify/
+	$(GO) test -race -shuffle=on ./internal/harness/ ./internal/netsim/ ./internal/arq/ ./internal/rtnet/ ./internal/session/ ./internal/verify/
 	$(GO) test -run '^$$' -bench BenchmarkE11MultiFlow -benchtime 1x -race .
 
 # Seeded chaos soak (DESIGN.md §13): 64 loopback flows under

@@ -1,5 +1,6 @@
-// Benchmark harness: one benchmark per experiment of EXPERIMENTS.md
-// (E1..E10) plus the design-choice ablations of DESIGN.md §6. Run with
+// Benchmark harness: one benchmark per experiment table that
+// `go run ./cmd/experiments` prints (E1..E10) plus the design-choice
+// ablations of DESIGN.md §6. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -544,10 +545,11 @@ func BenchmarkAblationInterpVsCodegen(b *testing.B) {
 // BenchmarkAblationCodecPath: the layout-interpreting wire codec against
 // the generated inline codec, byte-identical outputs.
 func BenchmarkAblationCodecPath(b *testing.B) {
-	layout, err := wire.Compile(arq.PacketMessage())
+	codec, err := arq.NewCodec()
 	if err != nil {
 		b.Fatal(err)
 	}
+	layout := codec.Packet
 	payload := make([]byte, 128)
 	vals := map[string]expr.Value{"seq": expr.U8(1), "payload": expr.Bytes(payload)}
 	enc, err := layout.Encode(vals)

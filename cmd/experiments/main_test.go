@@ -7,7 +7,7 @@ import (
 )
 
 // TestAllExperimentsRun executes the full harness (the same code path
-// that regenerates EXPERIMENTS.md) and sanity-checks each table's
+// that `go run ./cmd/experiments` prints) and sanity-checks each table's
 // presence. The repository root is two levels up from this package.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {

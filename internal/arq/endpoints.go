@@ -20,7 +20,7 @@ type SenderStats struct {
 	StaleAcks     int // acks ignored or rejected by the machine
 }
 
-// Sender drives the checked ARQ sender spec over a simulator endpoint.
+// Sender drives arq.pdsl's checked Sender machine over a simulator endpoint.
 // All methods run inside the simulator event loop.
 //
 // The machine executes the spec's compiled program (fsm.Program) through
@@ -61,11 +61,11 @@ type Sender struct {
 }
 
 // NewSender builds a sender for the given payload sequence. The machine
-// is instantiated from the statically checked spec; a spec that fails
-// Check is unusable (NewMachine refuses it).
+// is instantiated from the shared compiled program of arq.pdsl's
+// statically checked Sender.
 func NewSender(sim *netsim.Sim, ep *netsim.Endpoint, peer netsim.Addr,
 	payloads [][]byte, rto time.Duration, maxRetries int) (*Sender, error) {
-	machine, err := fsm.NewMachine(SenderSpec())
+	p, err := compiled()
 	if err != nil {
 		return nil, fmt.Errorf("arq sender: %w", err)
 	}
@@ -73,17 +73,8 @@ func NewSender(sim *netsim.Sim, ep *netsim.Endpoint, peer netsim.Addr,
 	if err != nil {
 		return nil, fmt.Errorf("arq sender: %w", err)
 	}
-	// The machine's shapes and the codec's programs are built from two
-	// wire.Message instances of the same constructors; assert once that
-	// their layouts agree so definition drift fails here, not as a guard
-	// silently reading the wrong slot.
-	ackShape := machine.Program().MsgShape("Ack")
-	if !ackShape.SameLayout(codec.AckProgram().Shape()) {
-		return nil, fmt.Errorf("arq sender: machine Ack shape does not match wire program layout")
-	}
-	if !machine.Program().MsgShape("Packet").SameLayout(codec.PacketProgram().Shape()) {
-		return nil, fmt.Errorf("arq sender: machine Packet shape does not match wire program layout")
-	}
+	machine := p.sender.NewMachine()
+	ackShape := p.sender.MsgShape("Ack")
 	s := &Sender{
 		sim: sim, ep: ep, peer: peer, machine: machine, codec: codec,
 		payloads: payloads, rto: rto, maxRetries: maxRetries,
@@ -282,7 +273,7 @@ type ReceiverStats struct {
 	AcksSent         int
 }
 
-// Receiver drives the checked ARQ receiver spec over a simulator
+// Receiver drives arq.pdsl's checked Receiver machine over a simulator
 // endpoint, delivering accepted payloads in order. Like Sender, it runs
 // the compiled program on the slot-frame path with reusable frames and
 // buffers.
@@ -305,7 +296,7 @@ type Receiver struct {
 
 // NewReceiver builds a receiver.
 func NewReceiver(sim *netsim.Sim, ep *netsim.Endpoint, peer netsim.Addr) (*Receiver, error) {
-	machine, err := fsm.NewMachine(ReceiverSpec())
+	p, err := compiled()
 	if err != nil {
 		return nil, fmt.Errorf("arq receiver: %w", err)
 	}
@@ -313,13 +304,8 @@ func NewReceiver(sim *netsim.Sim, ep *netsim.Endpoint, peer netsim.Addr) (*Recei
 	if err != nil {
 		return nil, fmt.Errorf("arq receiver: %w", err)
 	}
-	pktShape := machine.Program().MsgShape("Packet")
-	if !pktShape.SameLayout(codec.PacketProgram().Shape()) {
-		return nil, fmt.Errorf("arq receiver: machine Packet shape does not match wire program layout")
-	}
-	if !machine.Program().MsgShape("Ack").SameLayout(codec.AckProgram().Shape()) {
-		return nil, fmt.Errorf("arq receiver: machine Ack shape does not match wire program layout")
-	}
+	machine := p.receiver.NewMachine()
+	pktShape := p.receiver.MsgShape("Packet")
 	r := &Receiver{
 		sim: sim, ep: ep, peer: peer, machine: machine, codec: codec,
 		pktShape: pktShape,

@@ -7,26 +7,15 @@ package gen
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"protodsl/internal/arq"
 	"protodsl/internal/expr"
-	"protodsl/internal/fsmtyped"
 	"protodsl/internal/genrt"
 	"protodsl/internal/netsim"
-	"protodsl/internal/wire"
-)
-
-// The generated state types satisfy fsmtyped.State.
-var (
-	_ fsmtyped.State = SenderReady{}
-	_ fsmtyped.State = SenderWait{}
-	_ fsmtyped.State = SenderTimeout{}
-	_ fsmtyped.State = SenderSent{}
-	_ fsmtyped.State = ReceiverReadyFor{}
-	_ fsmtyped.State = ReceiverClosed{}
 )
 
 func TestGeneratedCodecRoundTrip(t *testing.T) {
@@ -48,12 +37,14 @@ func TestGeneratedCodecRoundTrip(t *testing.T) {
 }
 
 // TestGeneratedCodecMatchesInterpreter: the generated inline codec and
-// the wire-layout interpreter produce byte-identical encodings.
+// the wire-layout interpreter (the Packet layout internal/arq runs)
+// produce byte-identical encodings.
 func TestGeneratedCodecMatchesInterpreter(t *testing.T) {
-	layout, err := wire.Compile(arq.PacketMessage())
+	codec, err := arq.NewCodec()
 	if err != nil {
 		t.Fatal(err)
 	}
+	layout := codec.Packet
 	f := func(seq uint8, payload []byte) bool {
 		if len(payload) > 1000 {
 			payload = payload[:1000]
@@ -248,7 +239,7 @@ type genSender struct {
 	ep   *netsim.Endpoint
 	peer netsim.Addr
 
-	state    fsmtyped.State
+	state    interface{ StateName() string }
 	payloads [][]byte
 	idx      int
 
@@ -495,39 +486,67 @@ func TestGeneratedTransferOverLossyLink(t *testing.T) {
 }
 
 // TestGeneratedEquivalentToInterpreter: generated code and the fsm
-// interpreter produce identical protocol behaviour on identical seeds.
+// interpreter produce identical protocol behaviour on identical seeds,
+// including under duplication and corruption (failed checksums drive the
+// sender's FAIL transition and the receiver's drop path).
 func TestGeneratedEquivalentToInterpreter(t *testing.T) {
-	payloads := make([][]byte, 15)
-	for i := range payloads {
-		payloads[i] = []byte{byte(i)}
+	small := make([][]byte, 15)
+	for i := range small {
+		small[i] = []byte{byte(i)}
 	}
+	wide := make([][]byte, 15)
+	for i := range wide {
+		wide[i] = make([]byte, 24)
+		for j := range wide[i] {
+			wide[i][j] = byte(i + j)
+		}
+	}
+	type input struct {
+		cfg      arq.Config
+		payloads [][]byte
+	}
+	var inputs []input
 	for _, loss := range []float64{0, 0.2, 0.4} {
-		cfg := arq.Config{
+		inputs = append(inputs, input{arq.Config{
 			Seed: 11,
 			Link: netsim.LinkParams{Delay: time.Millisecond, LossProb: loss, DupProb: 0.1},
 			RTO:  12 * time.Millisecond, MaxRetries: 40,
-		}
-		interp, err := arq.RunTransfer(cfg, payloads)
+		}, small})
+	}
+	for _, loss := range []float64{0.15, 0.35} {
+		inputs = append(inputs, input{arq.Config{
+			Seed: 7,
+			Link: netsim.LinkParams{Delay: time.Millisecond, LossProb: loss, DupProb: 0.05, CorruptProb: 0.05},
+			RTO:  15 * time.Millisecond, MaxRetries: 40,
+		}, wide})
+	}
+	for _, in := range inputs {
+		link := in.cfg.Link
+		name := fmt.Sprintf("seed=%d loss=%.2f corrupt=%.2f", in.cfg.Seed, link.LossProb, link.CorruptProb)
+		interp, err := arq.RunTransfer(in.cfg, in.payloads)
 		if err != nil {
 			t.Fatal(err)
 		}
-		genOK, genDelivered, genPackets, err := runGenTransfer(cfg, payloads)
+		if link.CorruptProb > 0 && interp.Sender.AcksCorrupted+interp.Receiver.PacketsCorrupted == 0 {
+			t.Fatalf("%s: no corrupted frame reached either end", name)
+		}
+		genOK, genDelivered, genPackets, err := runGenTransfer(in.cfg, in.payloads)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if interp.OK != genOK {
-			t.Fatalf("loss=%.1f: interp ok=%v, generated ok=%v", loss, interp.OK, genOK)
+			t.Fatalf("%s: interp ok=%v, generated ok=%v", name, interp.OK, genOK)
 		}
 		if len(interp.Delivered) != len(genDelivered) {
-			t.Fatalf("loss=%.1f: delivered %d vs %d", loss, len(interp.Delivered), len(genDelivered))
+			t.Fatalf("%s: delivered %d vs %d", name, len(interp.Delivered), len(genDelivered))
 		}
 		for i := range interp.Delivered {
 			if !bytes.Equal(interp.Delivered[i], genDelivered[i]) {
-				t.Fatalf("loss=%.1f: delivery %d differs", loss, i)
+				t.Fatalf("%s: delivery %d differs", name, i)
 			}
 		}
 		if interp.Sender.PacketsSent != genPackets {
-			t.Errorf("loss=%.1f: packets sent %d vs %d", loss, interp.Sender.PacketsSent, genPackets)
+			t.Errorf("%s: packets sent %d vs %d", name, interp.Sender.PacketsSent, genPackets)
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package arq
 
 import (
-	"protodsl/internal/expr"
+	"fmt"
+	"sync"
+
+	"protodsl/internal/dsl"
 	"protodsl/internal/fsm"
 	"protodsl/internal/wire"
 )
@@ -32,14 +35,72 @@ const (
 	EvClose = "CLOSE"
 )
 
-func messages() map[string]*wire.Message {
-	return map[string]*wire.Message{
-		"Packet": PacketMessage(),
-		"Ack":    AckMessage(),
-	}
+// protocol is the compiled stop-and-wait protocol, built once per
+// process from its one definition, dsl.ARQSource (examples/specs/arq.pdsl):
+// the machine programs every Sender/Receiver instantiates and the message
+// layouts every Codec encodes against. Both are immutable and shared.
+type protocol struct {
+	sender, receiver *fsm.Program
+	packet, ack      *wire.Layout
 }
 
-// SenderSpec returns the paper's ARQ sender machine:
+var (
+	protoOnce sync.Once
+	protoVal  *protocol
+	protoErr  error
+)
+
+// compiled returns the process-wide compiled ARQ protocol.
+func compiled() (*protocol, error) {
+	protoOnce.Do(func() {
+		proto, _, err := dsl.Compile(dsl.ARQSource)
+		if err != nil {
+			protoErr = fmt.Errorf("arq: compiling arq.pdsl: %w", err)
+			return
+		}
+		p := &protocol{}
+		var okS, okR, okP, okA bool
+		p.sender, okS = proto.Program("Sender")
+		p.receiver, okR = proto.Program("Receiver")
+		p.packet, okP = proto.Layout("Packet")
+		p.ack, okA = proto.Layout("Ack")
+		if !okS || !okR || !okP || !okA {
+			protoErr = fmt.Errorf("arq: arq.pdsl lacks a Sender, Receiver, Packet or Ack")
+			return
+		}
+		// The engines hand the machines slot-backed messages decoded by
+		// the wire programs; assert once that the machines' message shapes
+		// index fields exactly as the wire programs lay them out.
+		for _, prog := range []*fsm.Program{p.sender, p.receiver} {
+			for _, l := range []*wire.Layout{p.packet, p.ack} {
+				if !prog.MsgShape(l.Message().Name).SameLayout(l.Program().Shape()) {
+					protoErr = fmt.Errorf("arq: machine %s shape of %s does not match its wire layout",
+						prog.Spec().Name, l.Message().Name)
+					return
+				}
+			}
+		}
+		protoVal = p
+	})
+	return protoVal, protoErr
+}
+
+// machineSpec parses dsl.ARQSource afresh and returns the named machine,
+// so callers own the spec and may mutate it (seeded-defect experiments do).
+func machineSpec(name string) *fsm.Spec {
+	proto, err := dsl.Parse(dsl.ARQSource)
+	if err != nil {
+		panic(fmt.Sprintf("arq: parsing arq.pdsl: %v", err))
+	}
+	spec, ok := proto.Machine(name)
+	if !ok {
+		panic(fmt.Sprintf("arq: arq.pdsl has no machine %s", name))
+	}
+	return spec
+}
+
+// SenderSpec returns the paper's ARQ sender machine, as declared in
+// arq.pdsl:
 //
 //	data SendTrans : SendSt → SendSt → ⋆ where
 //	  SEND    : ListByte → SendTrans (Ready seq) (Wait seq)
@@ -55,59 +116,11 @@ func messages() map[string]*wire.Message {
 // `ack.seq == seq` over a *validated* Ack: the interpreter only ever sees
 // acks that passed DecodeAck, so the dependent-type precondition
 // "verified packet" is established before the event is raised.
-func SenderSpec() *fsm.Spec {
-	return &fsm.Spec{
-		Name: "ArqSender",
-		Doc:  "Stop-and-wait ARQ sender (paper §3.4).",
-		Vars: []fsm.Var{{Name: "seq", Type: expr.TU8}},
-		States: []fsm.State{
-			{Name: StReady, Init: true, Doc: "ready to send the next packet"},
-			{Name: StWait, Doc: "a packet is in flight, awaiting its ack"},
-			{Name: StTimeout, Doc: "the in-flight packet timed out"},
-			{Name: StSent, Final: true, Doc: "all data sent and acknowledged"},
-		},
-		Events: []fsm.Event{
-			{Name: EvSend, Params: []fsm.Param{{Name: "data", Type: expr.TBytes}}},
-			{Name: EvOK, Params: []fsm.Param{{Name: "ack", Type: expr.TMsg("Ack")}}},
-			{Name: EvFail},
-			{Name: EvTimeout},
-			{Name: EvRetry},
-			{Name: EvFinish},
-		},
-		Transitions: []fsm.Transition{
-			{Name: "send", From: StReady, Event: EvSend, To: StWait,
-				Outputs: []fsm.Output{{Message: "Packet", Fields: map[string]expr.Expr{
-					"seq":     expr.MustParse("seq"),
-					"payload": expr.MustParse("data"),
-				}}}},
-			{Name: "ack", From: StWait, Event: EvOK, To: StReady,
-				Guard:   expr.MustParse("ack.seq == seq"),
-				Assigns: []fsm.Assign{{Var: "seq", Expr: expr.MustParse("seq + 1")}}},
-			{Name: "fail", From: StWait, Event: EvFail, To: StReady},
-			{Name: "timeout", From: StWait, Event: EvTimeout, To: StTimeout},
-			{Name: "retry", From: StTimeout, Event: EvRetry, To: StReady},
-			{Name: "finish", From: StReady, Event: EvFinish, To: StSent},
-		},
-		Ignores: []fsm.Ignore{
-			// Stale acks and late timers arriving in Ready are no-ops.
-			{State: StReady, Event: EvOK, Doc: "stale ack after advance"},
-			{State: StReady, Event: EvFail, Doc: "late failure signal"},
-			{State: StReady, Event: EvTimeout, Doc: "late timer"},
-			{State: StReady, Event: EvRetry, Doc: "late retry"},
-			{State: StWait, Event: EvSend, Doc: "window is 1: cannot send while waiting"},
-			{State: StWait, Event: EvRetry, Doc: "not timed out"},
-			{State: StWait, Event: EvFinish, Doc: "cannot finish with data in flight"},
-			{State: StTimeout, Event: EvSend},
-			{State: StTimeout, Event: EvOK, Doc: "ack after timeout: host decides via RETRY"},
-			{State: StTimeout, Event: EvFail},
-			{State: StTimeout, Event: EvTimeout},
-			{State: StTimeout, Event: EvFinish},
-		},
-		Messages: messages(),
-	}
-}
+//
+// Each call returns a freshly parsed spec the caller may mutate.
+func SenderSpec() *fsm.Spec { return machineSpec("Sender") }
 
-// ReceiverSpec returns the paper's receiver:
+// ReceiverSpec returns the paper's receiver, as declared in arq.pdsl:
 //
 //	RECV : (seq : Byte) → (data : ListByte) →
 //	       CheckPacket … → RecvTrans (ReadyFor seq) (ReadyFor (seq+1))
@@ -116,33 +129,6 @@ func SenderSpec() *fsm.Spec {
 // paper's receiver "will reject a packet"; re-acknowledging the rejected
 // duplicate is what lets the sender make progress when acks are lost) and
 // a CLOSE event to a final state so consistent termination is checkable.
-func ReceiverSpec() *fsm.Spec {
-	return &fsm.Spec{
-		Name: "ArqReceiver",
-		Doc:  "Stop-and-wait ARQ receiver (paper §3.4).",
-		Vars: []fsm.Var{{Name: "seq", Type: expr.TU8}},
-		States: []fsm.State{
-			{Name: StReadyFor, Init: true, Doc: "waiting for packet `seq`"},
-			{Name: StClosed, Final: true},
-		},
-		Events: []fsm.Event{
-			{Name: EvRecv, Params: []fsm.Param{{Name: "p", Type: expr.TMsg("Packet")}}},
-			{Name: EvClose},
-		},
-		Transitions: []fsm.Transition{
-			{Name: "accept", From: StReadyFor, Event: EvRecv, To: StReadyFor,
-				Guard:   expr.MustParse("p.seq == seq"),
-				Assigns: []fsm.Assign{{Var: "seq", Expr: expr.MustParse("seq + 1")}},
-				Outputs: []fsm.Output{{Message: "Ack", Fields: map[string]expr.Expr{
-					"seq": expr.MustParse("p.seq"),
-				}}}},
-			{Name: "dupack", From: StReadyFor, Event: EvRecv, To: StReadyFor,
-				Guard: expr.MustParse("p.seq != seq"),
-				Outputs: []fsm.Output{{Message: "Ack", Fields: map[string]expr.Expr{
-					"seq": expr.MustParse("p.seq"),
-				}}}},
-			{Name: "close", From: StReadyFor, Event: EvClose, To: StClosed},
-		},
-		Messages: messages(),
-	}
-}
+//
+// Each call returns a freshly parsed spec the caller may mutate.
+func ReceiverSpec() *fsm.Spec { return machineSpec("Receiver") }

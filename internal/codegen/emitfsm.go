@@ -48,7 +48,7 @@ func (g *generator) machine(prog *fsm.Program) error {
 		g.p("\tVars %sVars", mName)
 		g.p("}")
 		g.p("")
-		g.p("// StateName identifies the state (it satisfies fsmtyped.State).")
+		g.p("// StateName returns the state's name as declared in the spec.")
 		g.p("func (%s) StateName() string { return %q }", sName, st.Name)
 		g.p("")
 	}
@@ -304,7 +304,7 @@ func (g *generator) flatMachine(prog *fsm.Program) error {
 	g.p("// StateIndex returns the dense index of the current state.")
 	g.p("func (m *%sMachine) StateIndex() int { return int(m.state) }", mName)
 	g.p("")
-	g.p("// StateName identifies the state (it satisfies fsmtyped.State).")
+	g.p("// StateName returns the state's name as declared in the spec.")
 	g.p("func (m *%sMachine) StateName() string { return %sStateNames[m.state] }", mName, lname)
 	g.p("")
 	g.p("// InFinal reports whether the machine is in an accepting state.")

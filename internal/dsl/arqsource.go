@@ -1,9 +1,9 @@
 package dsl
 
 // ARQSource is the canonical .pdsl definition of the paper's §3.4
-// stop-and-wait ARQ protocol — the DSL rendering of the specs that
-// internal/arq builds programmatically. Tests assert the two are
-// equivalent, and cmd/pdslc and the examples use this text.
+// stop-and-wait ARQ protocol and its only definition: internal/arq
+// compiles it for its codec and endpoints, internal/arq/gen is
+// generated from it, and cmd/pdslc and the examples use this text.
 const ARQSource = `// Stop-and-wait ARQ transport protocol (Bhatti et al. §3.4).
 protocol arq {
     // Pkt : Byte (seq) -> Byte (chk) -> List Byte (payload)

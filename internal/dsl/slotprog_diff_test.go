@@ -1,4 +1,4 @@
-package dsl
+package dsl_test
 
 import (
 	"bytes"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"protodsl/internal/arq"
+	"protodsl/internal/dsl"
 	"protodsl/internal/expr"
 	"protodsl/internal/ipv4"
 	"protodsl/internal/wire"
@@ -13,11 +14,11 @@ import (
 
 // This file differentially tests the slot-compiled wire programs against
 // the map-based layout codec: for every message layout reachable from
-// the canonical protocols — the native ARQ and IPv4 definitions plus
-// both compiled examples/specs sources — encode must agree byte for
-// byte, decode must agree field for field, and every corruption of the
-// wire bytes (truncations, single-byte flips) must fail with the same
-// sentinel error class on both paths.
+// the canonical protocols — the layouts the native ARQ and IPv4 codecs
+// run plus both compiled examples/specs sources — encode must agree byte
+// for byte, decode must agree field for field, and every corruption of
+// the wire bytes (truncations, single-byte flips) must fail with the
+// same sentinel error class on both paths.
 
 // diffLayouts gathers every layout under test, by name.
 func diffLayouts(t *testing.T) map[string]*wire.Layout {
@@ -31,24 +32,22 @@ func diffLayouts(t *testing.T) map[string]*wire.Layout {
 	for _, src := range []struct {
 		name   string
 		source string
-	}{{"arq.pdsl", ARQSource}, {"ipv4.pdsl", IPv4Source}} {
-		proto, _, err := Compile(src.source)
+	}{{"arq.pdsl", dsl.ARQSource}, {"ipv4.pdsl", dsl.IPv4Source}} {
+		proto, _, err := dsl.Compile(src.source)
 		if err != nil {
 			t.Fatalf("compile %s: %v", src.name, err)
 		}
 		add(src.name, proto.Layouts)
 	}
-	for name, msg := range map[string]*wire.Message{
-		"native/Packet":     arq.PacketMessage(),
-		"native/Ack":        arq.AckMessage(),
-		"native/IPv4Header": ipv4.HeaderMessage(),
-	} {
-		l, err := wire.Compile(msg)
-		if err != nil {
-			t.Fatalf("compile %s: %v", name, err)
-		}
-		out[name] = l
+	codec, err := arq.NewCodec()
+	if err != nil {
+		t.Fatalf("arq codec: %v", err)
 	}
+	ip, err := wire.Compile(ipv4.HeaderMessage())
+	if err != nil {
+		t.Fatalf("compile IPv4Header: %v", err)
+	}
+	add("native", map[string]*wire.Layout{"Packet": codec.Packet, "Ack": codec.Ack, "IPv4Header": ip})
 	return out
 }
 
