@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race chaos verify verify-full bench benchfull bench-json bench-diff allocscheck fuzz-smoke lint fmt vet fmtcheck docscheck clean
+.PHONY: all build test race chaos verify verify-full bench benchfull bench-json bench-diff allocscheck perfbench-smoke fuzz-smoke lint fmt vet fmtcheck docscheck clean
 
 all: build test lint docscheck verify
 
@@ -90,6 +90,12 @@ bench-diff:
 allocscheck:
 	$(GO) run ./cmd/benchjson -bench 'AblationCodecPath/slot|AblationCodecPath/generated-append-encode|AblationCodecPath/generated-decode-into|AblationInterpVsCodegen/flat-machine|RTNetLoopback|TimerChurn/wheel|AggregateInto|ObsCounterAdd|ObsHistObserve|ObsRingRecord|ObsGaugeSet|SessionBeatTick|SessionGateData|SessionSnapshotAppend' \
 		-benchtime 30000x -require-zero 'slot|generated-append-encode|generated-decode-into|flat-machine|RTNetLoopback|TimerChurn/wheel|AggregateInto|ObsCounterAdd|ObsHistObserve|ObsRingRecord|ObsGaugeSet|SessionBeatTick|SessionGateData|SessionSnapshotAppend' -out /dev/null
+
+# The benchmark module's smoke test (perfbench/ has its own go.mod, so
+# `make test` never builds it): every workload runs briefly against the
+# current internal/arq, rtnet and session APIs. About 15s on 2 vCPUs.
+perfbench-smoke:
+	$(GO) -C perfbench test ./...
 
 # Fuzz smoke: ~30s of native fuzzing per target against the committed
 # hostile corpora (testdata/fuzz). Minimization is capped — on small

@@ -33,14 +33,15 @@ func RunARQTransfer(cfg ARQConfig, payloads [][]byte) (*ARQResult, error) {
 	return arq.RunTransfer(cfg, payloads)
 }
 
-// GBNConfig parameterises a go-back-N (windowed) transfer.
-type GBNConfig = arq.GBNConfig
+// WindowConfig parameterises a windowed (go-back-N or selective-repeat)
+// transfer.
+type WindowConfig = arq.WindowConfig
 
-// GBNResult reports a go-back-N transfer.
-type GBNResult = arq.GBNResult
+// WindowResult reports a windowed transfer.
+type WindowResult = arq.WindowResult
 
 // RunGBNTransfer transfers payloads with the go-back-N extension.
-func RunGBNTransfer(cfg GBNConfig, payloads [][]byte) (*GBNResult, error) {
+func RunGBNTransfer(cfg WindowConfig, payloads [][]byte) (*WindowResult, error) {
 	return arq.RunTransferGBN(cfg, payloads)
 }
 

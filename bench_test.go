@@ -696,7 +696,7 @@ func BenchmarkAblationWindow(b *testing.B) {
 	for _, window := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := arq.RunTransferGBN(arq.GBNConfig{
+				res, err := arq.RunTransferGBN(arq.WindowConfig{
 					Seed: int64(i), Window: window,
 					Link: netsim.LinkParams{Delay: 10 * time.Millisecond},
 					RTO:  100 * time.Millisecond,

@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,9 +55,25 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *variant != "gbn" && *variant != "sr" {
+	cfg := arq.FlowConfig{Window: *window}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	// newRecv builds the variant's engine; its cumulative Expect doubles
+	// as session progress for crash recovery.
+	var newRecv func(netsim.Port, netsim.Addr) (*arq.WindowReceiver, error)
+	switch *variant {
+	case "gbn":
+		newRecv = arq.NewGBNReceiver
+	case "sr":
+		newRecv = func(port netsim.Port, peer netsim.Addr) (*arq.WindowReceiver, error) {
+			return arq.NewSRReceiver(port, peer, cfg)
+		}
+	default:
 		return fmt.Errorf("unknown variant %q (want gbn or sr)", *variant)
 	}
+	// Accept callbacks run on the shard loops and report to out too.
+	out = &lockedWriter{w: out}
 
 	node, err := rtnet.Listen(*listen, rtnet.Config{Shards: *shards, SingleSocket: *single})
 	if err != nil {
@@ -67,26 +84,15 @@ func run(args []string, out io.Writer) error {
 	// Flow/peer/byte counters are written from shard loops and read by
 	// the stats printer: atomics, nothing shared beyond them.
 	var flows, frames, bytes atomic.Uint64
-	cfg := arq.FlowConfig{Window: *window}
-	// receiver spawns the variant's engine; both expose cumulative
-	// Expect, which doubles as session progress for crash recovery.
-	type recv interface {
-		OnDatagram(netsim.Addr, []byte)
-		Expect() uint64
-		SeedExpect(uint64)
-	}
-	receiver := func(port netsim.Port, peer netsim.Addr) recv {
-		if *variant == "sr" {
-			r, err := arq.NewSRReceiver(port, peer, cfg)
-			if err != nil {
-				return nil
-			}
-			return r
-		}
-		r, err := arq.NewGBNReceiver(port, peer)
+	// receiver builds one flow's engine, or reports why the flow is
+	// refused (nil).
+	receiver := func(port netsim.Port, peer netsim.Addr, flow byte) *arq.WindowReceiver {
+		r, err := newRecv(port, peer)
 		if err != nil {
+			fmt.Fprintf(out, "protoserve: refusing flow %d from %s: %v\n", flow, peer, err)
 			return nil
 		}
+		flows.Add(1)
 		return r
 	}
 	count := func(h func(netsim.Addr, []byte)) func(netsim.Addr, []byte) {
@@ -106,14 +112,13 @@ func run(args []string, out io.Writer) error {
 			StateDir:       *stateDir,
 			HeartbeatEvery: *beat,
 		}, func(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, flow byte, resume *session.Resume) *session.Engine {
-			r := receiver(port, peer)
+			r := receiver(port, peer, flow)
 			if r == nil {
 				return nil
 			}
 			if resume != nil {
 				r.SeedExpect(resume.Expect)
 			}
-			flows.Add(1)
 			return &session.Engine{Handle: count(r.OnDatagram), Progress: r.Expect}
 		})
 	} else {
@@ -121,11 +126,10 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-state-dir requires -session")
 		}
 		err = node.Serve(func(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, flow byte) func(netsim.Addr, []byte) {
-			r := receiver(port, peer)
+			r := receiver(port, peer, flow)
 			if r == nil {
 				return nil
 			}
-			flows.Add(1)
 			return count(r.OnDatagram)
 		})
 	}
@@ -205,4 +209,16 @@ func run(args []string, out io.Writer) error {
 			return nil
 		}
 	}
+}
+
+// lockedWriter serialises writes from the shard loops and the main loop.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }

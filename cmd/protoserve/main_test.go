@@ -67,10 +67,17 @@ func TestServeExitsAfterDuration(t *testing.T) {
 	}
 }
 
+// TestRejectsUnknownVariant: a bad variant or flow config fails at
+// startup instead of serving a node that refuses every flow.
 func TestRejectsUnknownVariant(t *testing.T) {
-	var out syncBuffer
-	if err := run([]string{"-variant", "tcp"}, &out); err == nil {
-		t.Fatal("unknown variant accepted")
+	for _, args := range [][]string{
+		{"-variant", "tcp"},
+		{"-variant", "sr", "-window", "300"},
+	} {
+		var out syncBuffer
+		if err := run(append(args, "-listen", "127.0.0.1:0", "-duration", "1ms", "-stats", "0"), &out); err == nil {
+			t.Errorf("%v accepted:\n%s", args, out.String())
+		}
 	}
 }
 
@@ -298,7 +305,7 @@ func TestStatsEndpointsUnderLoad(t *testing.T) {
 	}
 
 	fcfg := arq.FlowConfig{Window: 32, RTO: 100 * time.Millisecond, MaxRetries: 50}
-	senders := make([]*arq.GBNSender, nFlows)
+	senders := make([]*arq.WindowSender, nFlows)
 	flowDone := make([]chan struct{}, nFlows)
 	for id := 0; id < nFlows; id++ {
 		id := id

@@ -76,7 +76,7 @@ func run() error {
 	// The further-work extension: a window of 16 on a long-delay link.
 	longLink := protodsl.LinkParams{Delay: 25 * time.Millisecond, LossProb: 0.05}
 	for _, window := range []int{1, 16} {
-		gres, err := protodsl.RunGBNTransfer(protodsl.GBNConfig{
+		gres, err := protodsl.RunGBNTransfer(protodsl.WindowConfig{
 			Link: longLink, RTO: 150 * time.Millisecond, MaxRetries: 60,
 			Window: window, Seed: 7,
 		}, payloads)

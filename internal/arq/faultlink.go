@@ -5,26 +5,36 @@ import (
 	"protodsl/internal/netsim"
 )
 
-// connectWithFaults wires a<->b with the given link parameters, layering
-// one private fault-injector instance per direction (ids 0 and 1) when
-// sch is non-nil. A nil schedule takes the plain symmetric Connect path,
-// so faults-off runs stay byte-identical to the pinned golden traces.
-func connectWithFaults(sim *netsim.Sim, a, b *netsim.Endpoint, link netsim.LinkParams, sch *faults.Schedule) error {
+// newSimPair builds the simulator a RunTransfer* call runs on: endpoints
+// "sender" and "receiver" joined by link in both directions, with one
+// private fault-injector instance per direction (ids 0 and 1) when sch
+// is non-nil. A nil schedule takes the plain symmetric Connect path, so
+// faults-off runs stay byte-identical to the pinned golden traces.
+func newSimPair(seed int64, link netsim.LinkParams, sch *faults.Schedule) (*netsim.Sim, *netsim.Endpoint, *netsim.Endpoint, error) {
+	sim := netsim.New(seed)
+	sEP, err := sim.NewEndpoint("sender")
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	rEP, err := sim.NewEndpoint("receiver")
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	if sch == nil {
-		sim.Connect(a, b, link)
-		return nil
+		sim.Connect(sEP, rEP, link)
+		return sim, sEP, rEP, nil
 	}
 	fwd, rev := link, link
 	fi, err := sch.Instance(0)
 	if err != nil {
-		return err
+		return nil, nil, nil, err
 	}
 	ri, err := sch.Instance(1)
 	if err != nil {
-		return err
+		return nil, nil, nil, err
 	}
 	fwd.Faults, rev.Faults = fi, ri
-	sim.ConnectDirectional(a, b, fwd)
-	sim.ConnectDirectional(b, a, rev)
-	return nil
+	sim.ConnectDirectional(sEP, rEP, fwd)
+	sim.ConnectDirectional(rEP, sEP, rev)
+	return sim, sEP, rEP, nil
 }

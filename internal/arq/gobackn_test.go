@@ -10,7 +10,7 @@ import (
 
 func TestGBNPerfectLink(t *testing.T) {
 	payloads := makePayloads(50, 32)
-	res, err := RunTransferGBN(GBNConfig{
+	res, err := RunTransferGBN(WindowConfig{
 		Seed: 1, Window: 8,
 		Link: netsim.LinkParams{Delay: time.Millisecond},
 	}, payloads)
@@ -33,7 +33,7 @@ func TestGBNPerfectLink(t *testing.T) {
 func TestGBNLossyInOrderExactlyOnce(t *testing.T) {
 	payloads := makePayloads(60, 16)
 	for seed := int64(0); seed < 4; seed++ {
-		res, err := RunTransferGBN(GBNConfig{
+		res, err := RunTransferGBN(WindowConfig{
 			Seed: seed, Window: 6,
 			Link:       netsim.LinkParams{Delay: 2 * time.Millisecond, LossProb: 0.15, DupProb: 0.05},
 			RTO:        25 * time.Millisecond,
@@ -61,8 +61,8 @@ func TestGBNLossyInOrderExactlyOnce(t *testing.T) {
 func TestGBNWindowBeatsStopAndWait(t *testing.T) {
 	payloads := makePayloads(40, 64)
 	link := netsim.LinkParams{Delay: 20 * time.Millisecond}
-	run := func(window int) *GBNResult {
-		res, err := RunTransferGBN(GBNConfig{
+	run := func(window int) *WindowResult {
+		res, err := RunTransferGBN(WindowConfig{
 			Seed: 1, Window: window, Link: link, RTO: 200 * time.Millisecond,
 		}, payloads)
 		if err != nil {
@@ -85,7 +85,7 @@ func TestGBNWindowBeatsStopAndWait(t *testing.T) {
 
 func TestGBNSeqWrap(t *testing.T) {
 	payloads := makePayloads(300, 4)
-	res, err := RunTransferGBN(GBNConfig{
+	res, err := RunTransferGBN(WindowConfig{
 		Seed: 2, Window: 16,
 		Link:       netsim.LinkParams{Delay: time.Millisecond, LossProb: 0.05},
 		RTO:        20 * time.Millisecond,
@@ -105,7 +105,7 @@ func TestGBNSeqWrap(t *testing.T) {
 }
 
 func TestGBNDeadLinkGivesUp(t *testing.T) {
-	res, err := RunTransferGBN(GBNConfig{
+	res, err := RunTransferGBN(WindowConfig{
 		Seed: 1, Window: 4,
 		Link:       netsim.LinkParams{LossProb: 1},
 		RTO:        5 * time.Millisecond,
@@ -120,10 +120,10 @@ func TestGBNDeadLinkGivesUp(t *testing.T) {
 }
 
 func TestGBNWindowValidation(t *testing.T) {
-	if _, err := RunTransferGBN(GBNConfig{Window: 128}, nil); err == nil {
+	if _, err := RunTransferGBN(WindowConfig{Window: 128}, nil); err == nil {
 		t.Error("window 128 accepted (breaks 8-bit seq disambiguation)")
 	}
-	if _, err := RunTransferGBN(GBNConfig{Window: -1}, nil); err == nil {
+	if _, err := RunTransferGBN(WindowConfig{Window: -1}, nil); err == nil {
 		t.Error("negative window accepted")
 	}
 }
@@ -135,7 +135,7 @@ func TestGBNWindowValidation(t *testing.T) {
 func TestGBNSeqWrapMaxWindow(t *testing.T) {
 	payloads := makePayloads(300, 6)
 	for _, window := range []int{120, 127} {
-		res, err := RunTransferGBN(GBNConfig{
+		res, err := RunTransferGBN(WindowConfig{
 			Seed: 3, Window: window,
 			Link:       netsim.LinkParams{Delay: time.Millisecond, LossProb: 0.08, DupProb: 0.1},
 			RTO:        30 * time.Millisecond,
@@ -210,7 +210,7 @@ func TestGBNStaleAckOutsideWindowIgnored(t *testing.T) {
 // 2D + RTO as the pre-fix event core reported.
 func TestGBNExactDurationNoTrailingRTO(t *testing.T) {
 	const d = 5 * time.Millisecond
-	res, err := RunTransferGBN(GBNConfig{
+	res, err := RunTransferGBN(WindowConfig{
 		Seed: 1, Window: 8,
 		Link: netsim.LinkParams{Delay: d},
 		RTO:  400 * time.Millisecond,
@@ -228,7 +228,7 @@ func TestGBNExactDurationNoTrailingRTO(t *testing.T) {
 }
 
 func TestGBNEmptyTransfer(t *testing.T) {
-	res, err := RunTransferGBN(GBNConfig{Seed: 1, Window: 4}, nil)
+	res, err := RunTransferGBN(WindowConfig{Seed: 1, Window: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,10 @@
 // wrong-state transition does not compile, is generated into
 // internal/arq/gen.
 //
-// A go-back-N extension (window > 1) is provided as the "further work"
-// the paper sketches for richer protocols.
+// Go-back-N and selective repeat, the "further work" the paper sketches
+// for richer protocols, run over the same messages as two policies on
+// one sliding-window shell (window.go): WindowFlow, WindowSender and
+// WindowReceiver, configured by FlowConfig or WindowConfig.
 //
 // Concurrency: every engine (sender or receiver, any variant) is
 // single-owner. It belongs to the event loop of the netsim.Runtime it

@@ -10,7 +10,7 @@ import (
 
 func TestSRPerfectLink(t *testing.T) {
 	payloads := makePayloads(50, 32)
-	res, err := RunTransferSR(SRConfig{
+	res, err := RunTransferSR(WindowConfig{
 		Seed: 1, Window: 8,
 		Link: netsim.LinkParams{Delay: time.Millisecond},
 	}, payloads)
@@ -33,7 +33,7 @@ func TestSRPerfectLink(t *testing.T) {
 func TestSRLossyInOrderExactlyOnce(t *testing.T) {
 	payloads := makePayloads(60, 16)
 	for seed := int64(0); seed < 4; seed++ {
-		res, err := RunTransferSR(SRConfig{
+		res, err := RunTransferSR(WindowConfig{
 			Seed: seed, Window: 6,
 			Link:       netsim.LinkParams{Delay: 2 * time.Millisecond, LossProb: 0.15, DupProb: 0.05},
 			RTO:        25 * time.Millisecond,
@@ -63,14 +63,14 @@ func TestSRRetransmitsLessThanGBNUnderLoss(t *testing.T) {
 	var srRetrans, gbnRetrans int
 	for seed := int64(0); seed < 5; seed++ {
 		link := netsim.LinkParams{Delay: 5 * time.Millisecond, LossProb: 0.2}
-		sr, err := RunTransferSR(SRConfig{
+		sr, err := RunTransferSR(WindowConfig{
 			Seed: seed, Window: 16, Link: link,
 			RTO: 40 * time.Millisecond, MaxRetries: 60,
 		}, payloads)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gbn, err := RunTransferGBN(GBNConfig{
+		gbn, err := RunTransferGBN(WindowConfig{
 			Seed: seed, Window: 16, Link: link,
 			RTO: 40 * time.Millisecond, MaxRetries: 60,
 		}, payloads)
@@ -91,7 +91,7 @@ func TestSRRetransmitsLessThanGBNUnderLoss(t *testing.T) {
 
 func TestSRSeqWrap(t *testing.T) {
 	payloads := makePayloads(300, 4)
-	res, err := RunTransferSR(SRConfig{
+	res, err := RunTransferSR(WindowConfig{
 		Seed: 2, Window: 16,
 		Link:       netsim.LinkParams{Delay: time.Millisecond, LossProb: 0.05},
 		RTO:        20 * time.Millisecond,
@@ -111,7 +111,7 @@ func TestSRSeqWrap(t *testing.T) {
 }
 
 func TestSRDeadLinkGivesUp(t *testing.T) {
-	res, err := RunTransferSR(SRConfig{
+	res, err := RunTransferSR(WindowConfig{
 		Seed: 1, Window: 4,
 		Link:       netsim.LinkParams{LossProb: 1},
 		RTO:        5 * time.Millisecond,
@@ -126,10 +126,10 @@ func TestSRDeadLinkGivesUp(t *testing.T) {
 }
 
 func TestSRWindowValidationAndEmpty(t *testing.T) {
-	if _, err := RunTransferSR(SRConfig{Window: 128}, nil); err == nil {
+	if _, err := RunTransferSR(WindowConfig{Window: 128}, nil); err == nil {
 		t.Error("window 128 accepted")
 	}
-	res, err := RunTransferSR(SRConfig{Seed: 1, Window: 4}, nil)
+	res, err := RunTransferSR(WindowConfig{Seed: 1, Window: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSRWindowValidationAndEmpty(t *testing.T) {
 // with no trailing-RTO inflation from the cancelled per-packet timer.
 func TestSRExactDurationNoTrailingRTO(t *testing.T) {
 	const d = 3 * time.Millisecond
-	res, err := RunTransferSR(SRConfig{
+	res, err := RunTransferSR(WindowConfig{
 		Seed: 1, Window: 4,
 		Link: netsim.LinkParams{Delay: d},
 		RTO:  500 * time.Millisecond,

@@ -62,16 +62,8 @@ func RunTransfer(cfg Config, payloads [][]byte) (*Result, error) {
 		cfg.EventBudget = 10000 + 200*len(payloads)*(cfg.MaxRetries+1)
 	}
 
-	sim := netsim.New(cfg.Seed)
-	sEP, err := sim.NewEndpoint("sender")
+	sim, sEP, rEP, err := newSimPair(cfg.Seed, cfg.Link, cfg.Faults)
 	if err != nil {
-		return nil, err
-	}
-	rEP, err := sim.NewEndpoint("receiver")
-	if err != nil {
-		return nil, err
-	}
-	if err := connectWithFaults(sim, sEP, rEP, cfg.Link, cfg.Faults); err != nil {
 		return nil, err
 	}
 
@@ -111,13 +103,15 @@ func RunTransfer(cfg Config, payloads [][]byte) (*Result, error) {
 }
 
 // Goodput returns delivered payload bytes per second of virtual time.
-func (r *Result) Goodput() float64 {
-	if r.Duration <= 0 {
+func (r *Result) Goodput() float64 { return goodput(r.Delivered, r.Duration) }
+
+func goodput(delivered [][]byte, d time.Duration) float64 {
+	if d <= 0 {
 		return 0
 	}
 	var bytes int
-	for _, p := range r.Delivered {
+	for _, p := range delivered {
 		bytes += len(p)
 	}
-	return float64(bytes) / r.Duration.Seconds()
+	return float64(bytes) / d.Seconds()
 }

@@ -190,13 +190,11 @@ func RunShard(cfg MultiFlowConfig, shard int) ([]FlowResult, error) {
 		Window: cfg.Window, RTO: cfg.RTO, MaxRetries: cfg.MaxRetries,
 		Adaptive: cfg.Adaptive, MinRTO: cfg.MinRTO, MaxRTO: cfg.MaxRTO,
 	}
-	type flowHandle interface {
-		Done() bool
-		Err() error
+	start := arq.StartGBN
+	if cfg.Variant == VariantSR {
+		start = arq.StartSR
 	}
-	gbn := make([]*arq.GBNFlow, 0)
-	sr := make([]*arq.SRFlow, 0)
-	handles := make([]flowHandle, 0, cfg.Flows)
+	flows := make([]*arq.WindowFlow, 0, cfg.Flows)
 	for f := 0; f < cfg.Flows; f++ {
 		sport, err := lm.Flow(byte(f))
 		if err != nil {
@@ -206,60 +204,38 @@ func RunShard(cfg MultiFlowConfig, shard int) ([]FlowResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		payloads := flowPayloads(&cfg, shard, f)
-		switch cfg.Variant {
-		case VariantSR:
-			fl, err := arq.StartSR(sim, sport, rport, fcfg, payloads)
-			if err != nil {
-				return nil, err
-			}
-			sr = append(sr, fl)
-			handles = append(handles, fl)
-		default:
-			fl, err := arq.StartGBN(sim, sport, rport, fcfg, payloads)
-			if err != nil {
-				return nil, err
-			}
-			gbn = append(gbn, fl)
-			handles = append(handles, fl)
+		fl, err := start(sim, sport, rport, fcfg, flowPayloads(&cfg, shard, f))
+		if err != nil {
+			return nil, err
 		}
+		flows = append(flows, fl)
 	}
 
 	if err := sim.RunUntilIdle(cfg.budget()); err != nil {
 		return nil, fmt.Errorf("harness shard %d: %w", shard, err)
 	}
-	for f, h := range handles {
-		if err := h.Err(); err != nil {
+	for f, fl := range flows {
+		if err := fl.Err(); err != nil {
 			return nil, fmt.Errorf("harness shard %d flow %d: %w", shard, f, err)
 		}
-		if !h.Done() {
+		if !fl.Done() {
 			return nil, fmt.Errorf("harness shard %d flow %d: idle but unfinished", shard, f)
 		}
 	}
 
 	results := make([]FlowResult, cfg.Flows)
 	for f := range results {
-		var ok bool
-		var dur time.Duration
-		var delivered [][]byte
-		var sent, retrans int
-		if cfg.Variant == VariantSR {
-			r := sr[f].Result()
-			ok, dur, delivered, sent, retrans = r.OK, r.Duration, r.Delivered, r.PacketsSent, r.Retransmits
-		} else {
-			r := gbn[f].Result()
-			ok, dur, delivered, sent, retrans = r.OK, r.Duration, r.Delivered, r.PacketsSent, r.Retransmits
-		}
+		r := flows[f].Result()
 		// Verify content, not just counts: each flow's payloads are
 		// distinct (flowPayloads), so any cross-flow mixup or silent
 		// corruption slipping past the wire checksums surfaces here.
 		expected := flowPayloads(&cfg, shard, f)
-		if len(delivered) > len(expected) {
+		if len(r.Delivered) > len(expected) {
 			return nil, fmt.Errorf("harness shard %d flow %d: delivered %d > sent %d",
-				shard, f, len(delivered), len(expected))
+				shard, f, len(r.Delivered), len(expected))
 		}
 		deliveredBytes := 0
-		for i, p := range delivered {
+		for i, p := range r.Delivered {
 			if !bytes.Equal(p, expected[i]) {
 				return nil, fmt.Errorf("harness shard %d flow %d: payload %d content mismatch",
 					shard, f, i)
@@ -267,8 +243,8 @@ func RunShard(cfg MultiFlowConfig, shard int) ([]FlowResult, error) {
 			deliveredBytes += len(p)
 		}
 		results[f] = FlowResult{
-			Shard: shard, Flow: f, OK: ok, Duration: dur,
-			Bytes: deliveredBytes, PacketsSent: sent, Retransmits: retrans,
+			Shard: shard, Flow: f, OK: r.OK, Duration: r.Duration,
+			Bytes: deliveredBytes, PacketsSent: r.PacketsSent, Retransmits: r.Retransmits,
 		}
 	}
 	return results, nil

@@ -42,7 +42,7 @@ func TestReusePortSocketGroup(t *testing.T) {
 	// client: frames must arrive whichever socket the kernel steers
 	// them to, because readers route by flow id, not by socket.
 	for _, server := range []*Node{multi, single} {
-		srv, err := newGBNServer(server)
+		srv, err := newRecvServer(server, arq.NewGBNReceiver)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestReusePortSocketGroup(t *testing.T) {
 			client.Close()
 			t.Fatal(err)
 		}
-		var sender *arq.GBNSender
+		var sender *arq.WindowSender
 		var aerr error
 		if err := f.Do(func(rt netsim.Runtime, port netsim.Port) {
 			sender, aerr = arq.AttachGBNSender(rt, port, peer,

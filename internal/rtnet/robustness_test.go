@@ -23,9 +23,9 @@ import (
 // startGBNFlowsFrom attaches count GBN senders on client towards peer,
 // one per flow id in [base, base+count), and returns their senders and
 // done channels (indexed from 0).
-func startGBNFlowsFrom(t *testing.T, client *Node, peer netsim.Addr, cfg arq.FlowConfig, base, count, payloadsPerFlow, payloadSize int) ([]*arq.GBNSender, []chan struct{}) {
+func startGBNFlowsFrom(t *testing.T, client *Node, peer netsim.Addr, cfg arq.FlowConfig, base, count, payloadsPerFlow, payloadSize int) ([]*arq.WindowSender, []chan struct{}) {
 	t.Helper()
-	senders := make([]*arq.GBNSender, count)
+	senders := make([]*arq.WindowSender, count)
 	dones := make([]chan struct{}, count)
 	for i := 0; i < count; i++ {
 		i := i
@@ -64,7 +64,7 @@ func TestCloseRacesInflightFlush(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := newGBNServer(server); err != nil {
+		if _, err := newRecvServer(server, arq.NewGBNReceiver); err != nil {
 			t.Fatal(err)
 		}
 		client, err := Listen("127.0.0.1:0", Config{Shards: 4})
@@ -120,7 +120,7 @@ func TestDrainFinishesInflightTransfers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	srv, err := newGBNServer(server)
+	srv, err := newRecvServer(server, arq.NewGBNReceiver)
 	if err != nil {
 		t.Fatal(err)
 	}

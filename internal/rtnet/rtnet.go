@@ -532,6 +532,7 @@ func (f *Flow) ID() byte { return f.id }
 // shard's Runtime and this flow's Port, and waits for it to finish.
 // Engines are attached here:
 //
+//	var sender *arq.WindowSender // or arq.AttachSRSender below
 //	flow.Do(func(rt netsim.Runtime, port netsim.Port) {
 //	    sender, err = arq.AttachGBNSender(rt, port, peer, cfg, payloads, onDone)
 //	})
@@ -549,7 +550,16 @@ type AcceptFunc func(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, flow
 // Serve claims every still-unclaimed flow id and installs accept as the
 // demultiplexer: one engine per (flow, peer) pair, spawned inside the
 // owning shard's loop on first contact. Flows claimed earlier (Node.Flow)
-// are left alone, so a node can serve and originate at once.
+// are left alone, so a node can serve and originate at once. A receiver
+// per peer:
+//
+//	node.Serve(func(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, flow byte) func(netsim.Addr, []byte) {
+//	    r, err := arq.NewGBNReceiver(port, peer) // an *arq.WindowReceiver
+//	    if err != nil {
+//	        return nil // refuse the peer
+//	    }
+//	    return r.OnDatagram
+//	})
 func (n *Node) Serve(accept AcceptFunc) error {
 	for _, sh := range n.shards {
 		sh := sh

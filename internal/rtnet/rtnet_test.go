@@ -27,16 +27,16 @@ type recvKey struct {
 	flow byte
 }
 
-// gbnServer tracks per-(peer,flow) receivers spawned by Serve.
-type gbnServer struct {
+// recvServer tracks per-(peer,flow) receivers spawned by Serve.
+type recvServer struct {
 	mu    sync.Mutex
-	recvs map[recvKey]*arq.GBNReceiver
+	recvs map[recvKey]*arq.WindowReceiver
 }
 
-func newGBNServer(node *Node) (*gbnServer, error) {
-	s := &gbnServer{recvs: make(map[recvKey]*arq.GBNReceiver)}
+func newRecvServer(node *Node, newRecv func(netsim.Port, netsim.Addr) (*arq.WindowReceiver, error)) (*recvServer, error) {
+	s := &recvServer{recvs: make(map[recvKey]*arq.WindowReceiver)}
 	err := node.Serve(func(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, flow byte) func(netsim.Addr, []byte) {
-		r, err := arq.NewGBNReceiver(port, peer)
+		r, err := newRecv(port, peer)
 		if err != nil {
 			return nil
 		}
@@ -48,7 +48,7 @@ func newGBNServer(node *Node) (*gbnServer, error) {
 	return s, err
 }
 
-func (s *gbnServer) receiver(peer netsim.Addr, flow byte) *arq.GBNReceiver {
+func (s *recvServer) receiver(peer netsim.Addr, flow byte) *arq.WindowReceiver {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.recvs[recvKey{peer, flow}]
@@ -66,7 +66,7 @@ func TestLoopbackGBN64Flows(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	srv, err := newGBNServer(server)
+	srv, err := newRecvServer(server, arq.NewGBNReceiver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestLoopbackGBN64Flows(t *testing.T) {
 	cfg := arq.FlowConfig{Window: 32, RTO: 100 * time.Millisecond, MaxRetries: 20}
 
 	type flowState struct {
-		sender *arq.GBNSender
+		sender *arq.WindowSender
 		done   chan struct{}
 	}
 	states := make([]flowState, e2eFlows)
@@ -157,17 +157,8 @@ func TestLoopbackSR64Flows(t *testing.T) {
 	}
 	defer server.Close()
 	cfg := arq.FlowConfig{Window: 32, RTO: 100 * time.Millisecond, MaxRetries: 20}
-	var mu sync.Mutex
-	recvs := make(map[recvKey]*arq.SRReceiver)
-	err = server.Serve(func(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, flow byte) func(netsim.Addr, []byte) {
-		r, err := arq.NewSRReceiver(port, peer, cfg)
-		if err != nil {
-			return nil
-		}
-		mu.Lock()
-		recvs[recvKey{peer, flow}] = r
-		mu.Unlock()
-		return r.OnDatagram
+	srv, err := newRecvServer(server, func(port netsim.Port, peer netsim.Addr) (*arq.WindowReceiver, error) {
+		return arq.NewSRReceiver(port, peer, cfg)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +174,7 @@ func TestLoopbackSR64Flows(t *testing.T) {
 	}
 
 	const payloadsPerFlow, payloadSize = 20, 256
-	senders := make([]*arq.SRSender, e2eFlows)
+	senders := make([]*arq.WindowSender, e2eFlows)
 	dones := make([]chan struct{}, e2eFlows)
 	for id := 0; id < e2eFlows; id++ {
 		id := id
@@ -221,9 +212,7 @@ func TestLoopbackSR64Flows(t *testing.T) {
 		if !senders[id].Result().OK {
 			t.Fatalf("flow %d: sender gave up", id)
 		}
-		mu.Lock()
-		rcv := recvs[recvKey{clientAddr, byte(id)}]
-		mu.Unlock()
+		rcv := srv.receiver(clientAddr, byte(id))
 		if rcv == nil {
 			t.Fatalf("flow %d: no receiver", id)
 		}
@@ -254,7 +243,7 @@ func TestMuxFramingHostileBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	srv, err := newGBNServer(server)
+	srv, err := newRecvServer(server, arq.NewGBNReceiver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +314,7 @@ func TestMuxFramingHostileBytes(t *testing.T) {
 	}
 	done := make(chan struct{})
 	payloads := flowPayloads(9, 10, 128)
-	var sender *arq.GBNSender
+	var sender *arq.WindowSender
 	var aerr error
 	if err := f.Do(func(rt netsim.Runtime, port netsim.Port) {
 		sender, aerr = arq.AttachGBNSender(rt, port, peer,

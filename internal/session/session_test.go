@@ -102,7 +102,7 @@ func twoNodeSim(t *testing.T, seed int64, link netsim.LinkParams, gcfg GateConfi
 
 func TestHandshakeTransferTeardown(t *testing.T) {
 	for _, loss := range []float64{0, 0.2} {
-		var recv *arq.GBNReceiver
+		var recv *arq.WindowReceiver
 		gcfg := GateConfig{
 			HeartbeatEvery: 50 * time.Millisecond,
 			Accept: func(peer netsim.Addr, resume *Resume) *Engine {
@@ -123,7 +123,7 @@ func TestHandshakeTransferTeardown(t *testing.T) {
 		}
 
 		payloads := testPayloads(12, 32)
-		var sender *arq.GBNSender
+		var sender *arq.WindowSender
 		var cli *Client
 		done := false
 		cfg := ClientConfig{

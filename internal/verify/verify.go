@@ -220,12 +220,6 @@ type Stats struct {
 	ArenaBytes int
 }
 
-// DedupRatio is DupHits per state actually inserted — how much work the
-// visited table saved.
-func (s Stats) DedupRatio() float64 {
-	return float64(s.DupHits)
-}
-
 // Result summarises an exploration.
 type Result struct {
 	// States is the number of distinct global states reached.

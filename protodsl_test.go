@@ -92,7 +92,7 @@ func TestFacadeTransferAndSim(t *testing.T) {
 		t.Fatalf("ok=%v delivered=%d", res.OK, len(res.Delivered))
 	}
 
-	gres, err := RunGBNTransfer(GBNConfig{
+	gres, err := RunGBNTransfer(WindowConfig{
 		Seed: 1, Window: 4,
 		Link: LinkParams{Delay: time.Millisecond},
 	}, payloads)
