@@ -36,6 +36,9 @@ type Result struct {
 	BPerOp      int64   `json:"b_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	MBPerS      float64 `json:"mb_per_s,omitempty"`
+	// Metrics holds the benchmark's own b.ReportMetric figures by unit,
+	// such as states/s and allocs/state.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Report is the file layout of BENCH_hotpath.json.
@@ -73,18 +76,22 @@ func parseBench(out string) (results []Result, cpu string) {
 		r := Result{Name: m[1]}
 		r.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
 		r.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
-		for _, metric := range []struct {
-			unit string
-			set  func(string)
-		}{
-			{"MB/s", func(s string) { r.MBPerS, _ = strconv.ParseFloat(s, 64) }},
-			{"B/op", func(s string) { r.BPerOp, _ = strconv.ParseInt(s, 10, 64) }},
-			{"allocs/op", func(s string) { r.AllocsPerOp, _ = strconv.ParseInt(s, 10, 64) }},
-		} {
-			fields := strings.Fields(m[4])
-			for i := 0; i+1 < len(fields); i++ {
-				if fields[i+1] == metric.unit {
-					metric.set(fields[i])
+		fields := strings.Fields(m[4])
+		for i := 0; i+1 < len(fields); i += 2 {
+			val, unit := fields[i], fields[i+1]
+			switch unit {
+			case "MB/s":
+				r.MBPerS, _ = strconv.ParseFloat(val, 64)
+			case "B/op":
+				r.BPerOp, _ = strconv.ParseInt(val, 10, 64)
+			case "allocs/op":
+				r.AllocsPerOp, _ = strconv.ParseInt(val, 10, 64)
+			default:
+				if f, err := strconv.ParseFloat(val, 64); err == nil {
+					if r.Metrics == nil {
+						r.Metrics = make(map[string]float64)
+					}
+					r.Metrics[unit] = f
 				}
 			}
 		}

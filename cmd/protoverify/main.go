@@ -241,8 +241,8 @@ func modelTargets(full bool) ([]target, error) {
 	}
 	if full {
 		// The flagship configuration beyond the sequential engine's
-		// practical limit: 749,416 states (~34 s at one worker; the
-		// sequential engine needs ~185 s). See DESIGN.md §12.
+		// practical limit: 749,416 states (~12.5 s at one worker on a
+		// 2-vCPU Xeon host). See DESIGN.md §12.
 		steps = append(steps, func() error {
 			return gbn(verify.GBNOptions{SeqSpace: 16, Window: 6, Total: 10, Capacity: 3, Lossy: true, Reorder: true}, false, "")
 		})

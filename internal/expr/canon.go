@@ -180,6 +180,76 @@ func decodeCanon(data []byte, depth int) (Value, []byte, error) {
 	}
 }
 
+// CanonLen returns the length of the value encoding at the front of
+// data, or -1 when data does not start with one. It walks the framing
+// DecodeCanon reads — tags, uint widths, length prefixes, field counts,
+// nesting depth — without building a value or checking field names for
+// duplicates. It lets a caller that interns values by their encoding
+// find the key before deciding whether to decode: for data DecodeCanon
+// accepts, the two agree on where the value ends.
+func CanonLen(data []byte) int {
+	rest, ok := canonSkip(data, 0)
+	if !ok {
+		return -1
+	}
+	return len(data) - len(rest)
+}
+
+func canonSkip(data []byte, depth int) ([]byte, bool) {
+	if depth > canonMaxDepth || len(data) == 0 {
+		return nil, false
+	}
+	tag := data[0]
+	data = data[1:]
+	switch tag {
+	case canonInvalid:
+		return data, true
+	case canonBool:
+		if len(data) < 1 || data[0] > 1 {
+			return nil, false
+		}
+		return data[1:], true
+	case canonUint:
+		if len(data) < 1 {
+			return nil, false
+		}
+		bits := int(data[0])
+		if bits != 8 && bits != 16 && bits != 32 && bits != 64 {
+			return nil, false
+		}
+		u, n := binary.Uvarint(data[1:])
+		if n <= 0 || u != truncate(u, bits) {
+			return nil, false
+		}
+		return data[1+n:], true
+	case canonBytes, canonString:
+		_, rest, err := canonTakeBytes(data)
+		return rest, err == nil
+	case canonMsg:
+		_, rest, err := canonTakeBytes(data)
+		if err != nil {
+			return nil, false
+		}
+		nFields, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return nil, false
+		}
+		rest = rest[n:]
+		for i := uint64(0); i < nFields; i++ {
+			if _, rest, err = canonTakeBytes(rest); err != nil {
+				return nil, false
+			}
+			var ok bool
+			if rest, ok = canonSkip(rest, depth+1); !ok {
+				return nil, false
+			}
+		}
+		return rest, true
+	default:
+		return nil, false
+	}
+}
+
 // canonTakeBytes reads a uvarint length prefix and that many bytes.
 func canonTakeBytes(data []byte) ([]byte, []byte, error) {
 	l, n := binary.Uvarint(data)

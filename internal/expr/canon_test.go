@@ -52,6 +52,15 @@ func TestCanonRoundTrip(t *testing.T) {
 		if re := got.AppendCanon(nil); !bytes.Equal(re, enc) {
 			t.Fatalf("re-encode of %s differs: %x vs %x", v, re, enc)
 		}
+		// CanonLen finds the same extent, and no truncation of it.
+		if l := CanonLen(append(bytes.Clone(enc), 0xFF)); l != len(enc) {
+			t.Fatalf("CanonLen(%s + trailing byte) = %d, want %d", v, l, len(enc))
+		}
+		for i := 0; i < len(enc); i++ {
+			if l := CanonLen(enc[:i]); l != -1 {
+				t.Fatalf("CanonLen of %d-byte prefix of %s = %d, want -1", i, v, l)
+			}
+		}
 	}
 }
 

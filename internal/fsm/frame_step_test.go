@@ -190,3 +190,94 @@ func TestStepEvZeroAllocs(t *testing.T) {
 		t.Fatalf("StepEv allocates %.1f/op", n)
 	}
 }
+
+// TestPositionalArgsMatchesStep pins PositionalArgs to Step's argument
+// binding: a binding Step refuses fails with Step's exact error, and an
+// accepted one, passed to StepEv, steps like Step does.
+func TestPositionalArgsMatchesStep(t *testing.T) {
+	prog, err := CompileSpec(frameSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	goID, _ := prog.EventID("GO")
+	mapMsg, _ := msgArg(prog, 0, []byte{7})
+	for name, args := range map[string]map[string]expr.Value{
+		"ok":         {"m": mapMsg},
+		"missing":    nil,
+		"renamed":    {"n": mapMsg},
+		"extra":      {"m": mapMsg, "x": expr.U8(1)},
+		"wrong kind": {"m": expr.U8(1)},
+	} {
+		pos, perr := prog.PositionalArgs(goID, args)
+		mStep, mEv := prog.NewMachine(), prog.NewMachine()
+		sres, serr := mStep.Step("GO", args)
+		if serr != nil || perr != nil {
+			if serr == nil || perr == nil || serr.Error() != perr.Error() {
+				t.Errorf("%s: PositionalArgs err %v, Step err %v", name, perr, serr)
+			}
+			continue
+		}
+		fres, ferr := mEv.StepEv(goID, pos...)
+		if ferr != nil || (fres.Fired == nil) != (sres.Fired == nil) || mEv.StateKey() != mStep.StateKey() {
+			t.Errorf("%s: StepEv(%v) = %+v, %v; Step = %+v", name, pos, fres, ferr, sres)
+		}
+	}
+	if _, err := prog.PositionalArgs(EventID(99), nil); !errors.Is(err, ErrUnknownEvent) {
+		t.Errorf("bad id: %v", err)
+	}
+}
+
+// TestAcceptsMatchesSpec pins Accepts to the spec's dispatch table: an
+// event is executable exactly where a transition or ignore is declared.
+func TestAcceptsMatchesSpec(t *testing.T) {
+	spec := frameSpec()
+	prog, err := CompileSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := prog.NewMachine()
+	endID, _ := prog.EventID("END")
+	for step := 0; step < 2; step++ {
+		for _, ev := range spec.Events {
+			id, _ := prog.EventID(ev.Name)
+			want := len(spec.TransitionsFrom(m.State(), ev.Name)) > 0 || spec.Ignored(m.State(), ev.Name)
+			if got := m.Accepts(id); got != want {
+				t.Errorf("state %s event %s: Accepts = %v, want %v", m.State(), ev.Name, got, want)
+			}
+		}
+		if step == 0 {
+			if _, err := m.StepEv(endID); err != nil { // A -> B
+				t.Fatal(err)
+			}
+		}
+	}
+	if m.Accepts(-1) || m.Accepts(EventID(len(spec.Events))) {
+		t.Error("Accepts holds for an unknown event id")
+	}
+}
+
+// TestCopyVarsRefillsInPlace pins CopyVars: it writes the current values
+// and, refilled, reuses the map without allocating.
+func TestCopyVarsRefillsInPlace(t *testing.T) {
+	prog, err := CompileSpec(frameSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := prog.NewMachine()
+	vars := make(map[string]expr.Value)
+	m.CopyVars(vars)
+	if len(vars) != 1 || !vars["seq"].Equal(expr.U8(0)) {
+		t.Fatalf("CopyVars = %v", vars)
+	}
+	goID, _ := prog.EventID("GO")
+	_, frameMsg := msgArg(prog, 0, nil)
+	if _, err := m.StepEv(goID, frameMsg); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.CopyVars(vars) }); n != 0 {
+		t.Errorf("CopyVars refill allocates %.1f/op", n)
+	}
+	if !vars["seq"].Equal(expr.U8(1)) {
+		t.Errorf("after GO, CopyVars seq = %v, want 1", vars["seq"])
+	}
+}

@@ -128,10 +128,17 @@ func (m *Machine) Var(name string) (expr.Value, bool) {
 // Vars returns a copy of all machine variables.
 func (m *Machine) Vars() map[string]expr.Value {
 	out := make(map[string]expr.Value, m.prog.nVars)
-	for i, name := range m.prog.varNames {
-		out[name] = m.frame.Get(i)
-	}
+	m.CopyVars(out)
 	return out
+}
+
+// CopyVars stores every variable's current value into dst under its
+// name. Refilling the same map for the same program reuses its storage,
+// so a caller that snapshots variables repeatedly allocates only once.
+func (m *Machine) CopyVars(dst map[string]expr.Value) {
+	for i, name := range m.prog.varNames {
+		dst[name] = m.frame.Get(i)
+	}
 }
 
 // Steps returns the number of Step calls that fired or ignored an event.
@@ -245,6 +252,18 @@ type FrameResult struct {
 
 // EventID resolves an event name for StepEv (see Program.EventID).
 func (m *Machine) EventID(name string) (EventID, bool) { return m.prog.EventID(name) }
+
+// Accepts reports whether the event is executable in the current state:
+// its dispatch row declares a transition or an ignore. An unknown id is
+// never executable.
+func (m *Machine) Accepts(ev EventID) bool {
+	p := m.prog
+	if ev < 0 || int(ev) >= p.numEvents {
+		return false
+	}
+	row := &p.rows[m.stateIdx*p.numEvents+int(ev)]
+	return len(row.ts) > 0 || row.ignored
+}
 
 // StepEv is the frame-path counterpart of Step: the event is named by a
 // pre-resolved EventID, arguments bind positionally to the event's
@@ -386,7 +405,29 @@ func (m *Machine) fire(ct *compiledTransition, res StepResult) (StepResult, erro
 // bindArgs validates the arguments against the event's declared
 // parameters and writes them into the frame's parameter slots.
 func (m *Machine) bindArgs(ce *compiledEvent, args map[string]expr.Value) error {
-	spec := m.prog.spec
+	return m.prog.bindNamed(ce, args, func(i int, v expr.Value) { m.frame.Set(ce.params[i].slot, v) })
+}
+
+// PositionalArgs converts a by-name argument binding into the positional
+// table StepEv takes. It validates exactly as Step does, in the same
+// order, so a binding Step would refuse fails here with Step's error.
+func (p *Program) PositionalArgs(ev EventID, args map[string]expr.Value) ([]expr.Value, error) {
+	if ev < 0 || int(ev) >= len(p.events) {
+		return nil, fmt.Errorf("machine %s: %w: event id %d", p.spec.Name, ErrUnknownEvent, ev)
+	}
+	ce := &p.events[ev]
+	out := make([]expr.Value, len(ce.params))
+	if err := p.bindNamed(ce, args, func(i int, v expr.Value) { out[i] = v }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// bindNamed checks args against the event's parameters — each present
+// with a matching kind, in declaration order, then no extras — handing
+// param i's value to set as it goes.
+func (p *Program) bindNamed(ce *compiledEvent, args map[string]expr.Value, set func(i int, v expr.Value)) error {
+	spec := p.spec
 	for i := range ce.params {
 		param := &ce.params[i]
 		v, ok := args[param.name]
@@ -398,7 +439,7 @@ func (m *Machine) bindArgs(ce *compiledEvent, args map[string]expr.Value) error 
 			return fmt.Errorf("machine %s: event %s: %w: %q has kind %s, want %s",
 				spec.Name, ce.ev.Name, ErrBadArg, param.name, v.Kind(), param.typ)
 		}
-		m.frame.Set(param.slot, v)
+		set(i, v)
 	}
 	if len(args) > len(ce.params) {
 		for name := range args {

@@ -3,7 +3,12 @@ package verify
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
+
+	"protodsl/internal/expr"
+	"protodsl/internal/fsm"
+	"protodsl/internal/wire"
 )
 
 // diffConfig is one system + invariant configuration of the differential
@@ -258,5 +263,94 @@ func TestDifferentialTruncationAgrees(t *testing.T) {
 	}
 	if !seq.Truncated || seq.States != max {
 		t.Errorf("sequential: truncated=%v states=%d, want truncated with %d", seq.Truncated, seq.States, max)
+	}
+}
+
+// bindErrorSystem has bindings the positional argument tables cannot
+// take: env bindings with a missing, an extra and a wrongly typed
+// argument, and routes whose Param is not the consuming event's
+// parameter or whose event takes none. Step refuses each with ErrBadArg.
+func bindErrorSystem() *System {
+	msgs := map[string]*wire.Message{
+		"M": {Name: "M", Fields: []wire.Field{{Name: "v", Kind: wire.FieldUint, Bits: 8}}},
+	}
+	producer := &fsm.Spec{
+		Name:   "Producer",
+		Vars:   []fsm.Var{{Name: "n", Type: expr.TU8}},
+		States: []fsm.State{{Name: "Run", Init: true}},
+		Events: []fsm.Event{
+			{Name: "SET", Params: []fsm.Param{{Name: "x", Type: expr.TU8}}},
+			{Name: "EMIT"},
+		},
+		Transitions: []fsm.Transition{
+			{Name: "set", From: "Run", Event: "SET", To: "Run",
+				Assigns: []fsm.Assign{{Var: "n", Expr: expr.MustParse("x % 2")}}},
+			{Name: "emit", From: "Run", Event: "EMIT", To: "Run",
+				Outputs: []fsm.Output{{Message: "M", Fields: map[string]expr.Expr{"v": expr.MustParse("n")}}}},
+		},
+		Messages: msgs,
+	}
+	consumer := &fsm.Spec{
+		Name:   "Consumer",
+		Vars:   []fsm.Var{{Name: "got", Type: expr.TU8}},
+		States: []fsm.State{{Name: "Run", Init: true}},
+		Events: []fsm.Event{
+			{Name: "RECV", Params: []fsm.Param{{Name: "p", Type: expr.TMsg("M")}}},
+			{Name: "TICK"},
+		},
+		Transitions: []fsm.Transition{
+			{Name: "recv", From: "Run", Event: "RECV", To: "Run",
+				Assigns: []fsm.Assign{{Var: "got", Expr: expr.MustParse("p.v")}}},
+			{Name: "tick", From: "Run", Event: "TICK", To: "Run"},
+		},
+		Messages: msgs,
+	}
+	return &System{
+		Specs: []*fsm.Spec{producer, consumer},
+		Routes: []Route{
+			{From: 0, Message: "M", To: 1, Event: "RECV", Param: "p", Capacity: 1, Lossy: true},
+			{From: 0, Message: "M", To: 1, Event: "RECV", Param: "q", Capacity: 1},
+			{From: 0, Message: "M", To: 1, Event: "TICK", Param: "p", Capacity: 1},
+		},
+		Env: []EnvEvent{
+			{Machine: 0, Event: "SET", Args: []map[string]expr.Value{
+				{"x": expr.U8(1)},
+				{"y": expr.U8(1)},
+				{"x": expr.U8(1), "z": expr.U8(0)},
+				{"x": expr.Bool(true)},
+			}},
+			{Machine: 0, Event: "EMIT"},
+		},
+	}
+}
+
+// TestStepErrorParity pins the argument-binding failures Explore cannot
+// route through its positional tables: every one must surface as the
+// same step-error violation, message included, that ExploreSequential's
+// by-name Step reports.
+func TestStepErrorParity(t *testing.T) {
+	sys := bindErrorSystem()
+	opts := Options{MaxStates: 1 << 12}
+	want, err := ExploreSequential(sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frag := range []string{`missing "x"`, `unexpected argument "z"`, `"x" has kind bool`,
+		`missing "p"`, `unexpected argument "p"`} {
+		found := false
+		for _, v := range want.Violations {
+			found = found || (v.Kind == ViolationStep && strings.Contains(v.Msg, frag))
+		}
+		if !found {
+			t.Errorf("reference engine reports no step error containing %s: %v", frag, sortedViolKeys(want.Violations))
+		}
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		opts.Workers = workers
+		got, err := Explore(sys, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffCompare(t, fmt.Sprintf("workers=%d", workers), want, got)
 	}
 }

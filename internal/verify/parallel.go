@@ -14,10 +14,13 @@ package verify
 // Workers never share mutable state except the visited table (internally
 // striped) and the frontier cursors. A worker owns one set of machines
 // compiled once per spec and rehydrates them per expansion from the
-// canonical state encoding — no machine clones, no string keys.
+// canonical state encoding — no machine clones, no string keys. Moves run
+// on the frame path: machines step with StepEv, and queues hold interned
+// messages (bytestate.go), so a successor is encoded by copying bytes.
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -35,9 +38,8 @@ type levelFrontier struct {
 }
 
 type pexplorer struct {
-	sys       *System
+	c         *compiled
 	opts      Options
-	progs     []*fsm.Program
 	tbl       *table
 	workers   []*pworker
 	frontiers []levelFrontier
@@ -56,15 +58,21 @@ type pviol struct {
 type pworker struct {
 	id int
 	e  *pexplorer
+	*byteState
 
-	ms          []*fsm.Machine
-	baseQ       [][]expr.Value // decoded queues of the node being expanded
-	q           [][]expr.Value // per-move working copy of the queue headers
-	moves       []Move
-	deliverArgs []map[string]expr.Value
-	encBuf      []byte // current node's encoding
-	succBuf     []byte // successor encoding scratch
-	next        []ref  // next-level frontier (worker-private)
+	// q is the state a move works on: baseQ's headers, with each queue
+	// the move edits replaced by a copy in qScratch (copy-on-write).
+	q        [][]*imsg
+	qScratch [][]*imsg
+	qDirty   []bool // routes the current move edited
+	dirtyM   int    // machine the current move stepped, or -1
+	outEnc   []byte // emitted-message encoding scratch
+	snap     Snapshot
+
+	moves   []Move
+	encBuf  []byte // current node's encoding
+	succBuf []byte // successor encoding scratch
+	next    []ref  // next-level frontier (worker-private)
 
 	transitions uint64
 	dupHits     uint64
@@ -72,32 +80,33 @@ type pworker struct {
 	viols       []pviol
 	err         error
 
-	onOverrun func(route int, dropped expr.Value)
-	curRef    ref
-	curDepth  int32
-	curMove   Move
+	curRef   ref
+	curDepth int32
+	curMove  Move
 }
 
 func newPWorker(e *pexplorer, id int) *pworker {
+	nr := len(e.c.sys.Routes)
 	w := &pworker{
-		id:          id,
-		e:           e,
-		ms:          newMachines(e.progs),
-		baseQ:       make([][]expr.Value, len(e.sys.Routes)),
-		q:           make([][]expr.Value, len(e.sys.Routes)),
-		overruns:    make([]uint64, len(e.sys.Routes)),
-		deliverArgs: deliverArgsFor(e.sys),
+		id:        id,
+		e:         e,
+		byteState: newByteState(e.c),
+		q:         make([][]*imsg, nr),
+		qScratch:  make([][]*imsg, nr),
+		qDirty:    make([]bool, nr),
+		dirtyM:    -1,
+		overruns:  make([]uint64, nr),
 	}
-	w.onOverrun = func(route int, dropped expr.Value) {
-		w.overruns[route]++
-		if inv := w.e.opts.OverrunInvariant; inv != nil {
-			if err := inv(route, dropped); err != nil {
-				w.viols = append(w.viols, pviol{
-					kind: ViolationOverrun, name: "channel-overrun", msg: err.Error(),
-					state: w.curRef, depth: w.curDepth, extra: w.curMove, hasExtra: true,
-				})
-			}
-		}
+	for ri, r := range e.c.sys.Routes {
+		w.qScratch[ri] = make([]*imsg, 0, r.Capacity+1)
+	}
+	w.snap = Snapshot{
+		States: make([]string, len(w.ms)),
+		Vars:   make([]map[string]expr.Value, len(w.ms)),
+		Queues: make([][]expr.Value, nr),
+	}
+	for i := range w.snap.Vars {
+		w.snap.Vars[i] = make(map[string]expr.Value)
 	}
 	return w
 }
@@ -107,7 +116,7 @@ func newPWorker(e *pexplorer, id int) *pworker {
 // lengths, overrun counts — are deterministic and identical for every
 // Workers value; see Options for the truncation and stop-early caveats.
 func Explore(sys *System, opts Options) (*Result, error) {
-	progs, err := compileSystem(sys)
+	c, err := compileSystem(sys)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +133,7 @@ func Explore(sys *System, opts Options) (*Result, error) {
 	start := time.Now()
 
 	e := &pexplorer{
-		sys: sys, opts: opts, progs: progs,
+		c: c, opts: opts,
 		tbl:       newTable(opts.MaxStates),
 		frontiers: make([]levelFrontier, nw),
 	}
@@ -134,10 +143,11 @@ func Explore(sys *System, opts Options) (*Result, error) {
 	}
 
 	w0 := e.workers[0]
-	rootEnc := encodeGlobal(sys, w0.ms, w0.baseQ, nil)
+	rootEnc := w0.appendState(nil, w0.baseQ)
 	rootRef, _, full := e.tbl.insert(fingerprint(rootEnc), rootEnc, refNil, -1, 0)
 	if !full {
-		w0.checkInvariants(rootRef, 0, w0.baseQ)
+		copy(w0.q, w0.baseQ)
+		w0.checkInvariants(rootRef, 0)
 		e.frontiers[0].refs = []ref{rootRef}
 	}
 
@@ -261,26 +271,22 @@ func (w *pworker) drain(depth int32) {
 // successors into the table and the worker's next-level frontier.
 func (w *pworker) expand(r ref, depth int32) {
 	w.encBuf, _ = w.e.tbl.node(r, w.encBuf)
-	if err := decodeGlobal(w.e.sys, w.ms, w.baseQ, w.encBuf); err != nil {
+	if err := w.decode(w.encBuf); err != nil {
 		w.err = err
 		return
 	}
-	w.moves = enabledMoves(w.e.sys, w.ms, w.baseQ, w.moves)
+	w.moves = enabledMoves(w.e.c, w.ms, w.baseQ, w.moves)
 	w.curRef, w.curDepth = r, depth
+	copy(w.q, w.baseQ)
 	productive := false
-	machinesDirty := false
 	for mi := range w.moves {
 		mv := w.moves[mi]
-		if machinesDirty {
-			if _, err := restoreMachines(w.ms, w.encBuf); err != nil {
-				w.err = err
-				return
-			}
-			machinesDirty = false
+		if err := w.undo(); err != nil {
+			w.err = err
+			return
 		}
-		copy(w.q, w.baseQ)
 		w.curMove = mv
-		ar, err := applyMove(w.e.sys, w.ms, w.q, mv, w.deliverArgs, w.onOverrun)
+		ar, err := w.apply(mv)
 		if err != nil {
 			w.viols = append(w.viols, pviol{
 				kind: ViolationStep, name: mv.String(), msg: err.Error(),
@@ -292,8 +298,7 @@ func (w *pworker) expand(r ref, depth int32) {
 		if ar.envNoop {
 			continue
 		}
-		machinesDirty = ar.fired
-		w.succBuf = encodeGlobal(w.e.sys, w.ms, w.q, w.succBuf[:0])
+		w.succBuf = w.appendSuccessor(w.succBuf[:0])
 		if bytes.Equal(w.succBuf, w.encBuf) {
 			continue // fired but changed nothing
 		}
@@ -308,14 +313,12 @@ func (w *pworker) expand(r ref, depth int32) {
 		}
 		w.next = append(w.next, nr)
 		// The machines and w.q hold exactly the successor state here.
-		w.checkInvariants(nr, depth+1, w.q)
+		w.checkInvariants(nr, depth+1)
 	}
 	if w.e.opts.CheckDeadlock && !productive {
-		if machinesDirty {
-			if _, err := restoreMachines(w.ms, w.encBuf); err != nil {
-				w.err = err
-				return
-			}
+		if err := w.undo(); err != nil {
+			w.err = err
+			return
 		}
 		if !allFinal(w.ms) {
 			w.viols = append(w.viols, pviol{
@@ -327,11 +330,171 @@ func (w *pworker) expand(r ref, depth int32) {
 	}
 }
 
-func (w *pworker) checkInvariants(r ref, depth int32, queues [][]expr.Value) {
+// undo returns the machines and w.q to the decoded state after a move:
+// it restores the one machine the move stepped and the queues it edited.
+func (w *pworker) undo() error {
+	if d := w.dirtyM; d >= 0 {
+		if _, err := w.ms[d].RestoreState(w.encBuf[w.mOff[d]:]); err != nil {
+			return fmt.Errorf("verify: corrupt state encoding: machine %d: %w", d, err)
+		}
+		w.dirtyM = -1
+	}
+	for ri, dirty := range w.qDirty {
+		if dirty {
+			w.q[ri] = w.baseQ[ri]
+			w.qDirty[ri] = false
+		}
+	}
+	return nil
+}
+
+// apply executes one move on the frame path, with applyMove's semantics
+// and results: StepEv with the precomputed event ids and argument
+// tables, and emitted messages interned straight from their frames.
+func (w *pworker) apply(mv Move) (applyResult, error) {
+	c := w.e.c
+	switch mv.Kind {
+	case MoveEnv:
+		b := &c.envBind[mv.Env][mv.ArgIdx]
+		if b.err != nil {
+			return applyResult{}, b.err
+		}
+		m := c.sys.Env[mv.Env].Machine
+		res, err := w.ms[m].StepEv(c.envEv[mv.Env], b.args...)
+		if err != nil {
+			return applyResult{}, err
+		}
+		if res.Ignored || res.Rejected {
+			return applyResult{envNoop: true}, nil
+		}
+		w.dirtyM = m
+		w.route(m, res.Outputs)
+		return applyResult{fired: true}, nil
+	case MoveDeliver:
+		msg := w.q[mv.Route][mv.QIdx]
+		w.removeAt(mv.Route, mv.QIdx)
+		if err := c.routeErr[mv.Route]; err != nil {
+			return applyResult{}, err
+		}
+		to := c.sys.Routes[mv.Route].To
+		res, err := w.ms[to].StepEv(c.routeEv[mv.Route], msg.val)
+		if err != nil {
+			return applyResult{}, err
+		}
+		if res.Fired == nil {
+			// The message is consumed even when rejected or ignored: the
+			// queue changed but the machine did not.
+			return applyResult{}, nil
+		}
+		w.dirtyM = to
+		w.route(to, res.Outputs)
+		return applyResult{fired: true}, nil
+	case MoveDrop:
+		w.removeAt(mv.Route, mv.QIdx)
+		return applyResult{}, nil
+	default:
+		return applyResult{}, fmt.Errorf("verify: unknown move kind %d", mv.Kind)
+	}
+}
+
+// route places emitted messages onto their routes with routeOutputs'
+// overrun rule: a full FIFO route drops its head, a full reordering
+// route its canonically smallest message.
+func (w *pworker) route(from int, outs []fsm.FrameOutput) {
+	for _, out := range outs {
+		routes := w.e.c.outRoutes[from][out.Shape]
+		if len(routes) == 0 {
+			continue
+		}
+		v := expr.FrameMsg(out.Shape, out.Frame)
+		w.outEnc = v.AppendCanon(w.outEnc[:0])
+		for _, ri := range routes {
+			msg := w.intern(ri, w.outEnc, v)
+			r := &w.e.c.sys.Routes[ri]
+			q := w.edit(ri)
+			if len(q) >= r.Capacity {
+				victim := 0
+				if r.Reorder && len(q) > 1 {
+					victim = minEncIndex(q)
+				}
+				w.overrun(ri, q[victim].val)
+				q = append(q[:victim], q[victim+1:]...)
+			}
+			w.q[ri] = append(q, msg)
+		}
+	}
+}
+
+// edit returns route ri's working queue, first copying it into the
+// route's scratch so the decoded queue is never written.
+func (w *pworker) edit(ri int) []*imsg {
+	if !w.qDirty[ri] {
+		w.qScratch[ri] = append(w.qScratch[ri][:0], w.q[ri]...)
+		w.q[ri] = w.qScratch[ri]
+		w.qDirty[ri] = true
+	}
+	return w.q[ri]
+}
+
+func (w *pworker) removeAt(ri, i int) {
+	q := w.edit(ri)
+	w.q[ri] = append(q[:i], q[i+1:]...)
+}
+
+// overrun counts a channel-overrun drop and applies the overrun
+// invariant, anchored at the state and move being applied.
+func (w *pworker) overrun(route int, dropped expr.Value) {
+	w.overruns[route]++
+	if inv := w.e.opts.OverrunInvariant; inv != nil {
+		if err := inv(route, dropped); err != nil {
+			w.viols = append(w.viols, pviol{
+				kind: ViolationOverrun, name: "channel-overrun", msg: err.Error(),
+				state: w.curRef, depth: w.curDepth, extra: w.curMove, hasExtra: true,
+			})
+		}
+	}
+}
+
+// appendSuccessor appends the encoding of the state the current move
+// produced. Sections the move left alone are copied from the decoded
+// state's bytes; only the stepped machine and edited queues are encoded.
+func (w *pworker) appendSuccessor(dst []byte) []byte {
+	qStart := w.mOff[len(w.ms)]
+	if d := w.dirtyM; d >= 0 {
+		dst = append(dst, w.encBuf[:w.mOff[d]]...)
+		dst = w.ms[d].AppendState(dst)
+		dst = append(dst, w.encBuf[w.mOff[d+1]:qStart]...)
+	} else {
+		dst = append(dst, w.encBuf[:qStart]...)
+	}
+	for ri, q := range w.q {
+		if w.qDirty[ri] {
+			dst = w.appendQueue(dst, ri, q)
+		} else {
+			dst = append(dst, w.encBuf[w.qOff[ri]:w.qOff[ri+1]]...)
+		}
+	}
+	return dst
+}
+
+// checkInvariants evaluates the invariants on the worker's current
+// machines and w.q, refilling one reused Snapshot in place.
+func (w *pworker) checkInvariants(r ref, depth int32) {
 	if len(w.e.opts.Invariants) == 0 {
 		return
 	}
-	snap := snapshotFrom(w.ms, queues)
+	snap := &w.snap
+	for i, m := range w.ms {
+		snap.States[i] = m.State()
+		m.CopyVars(snap.Vars[i])
+	}
+	for ri, q := range w.q {
+		vals := snap.Queues[ri][:0]
+		for _, msg := range q {
+			vals = append(vals, msg.val)
+		}
+		snap.Queues[ri] = vals
+	}
 	for _, inv := range w.e.opts.Invariants {
 		if err := inv.Fn(snap); err != nil {
 			w.viols = append(w.viols, pviol{
@@ -359,10 +522,10 @@ func (e *pexplorer) movesTo(r ref) []Move {
 	moves := make([]Move, 0, len(chain)-1)
 	for i := 0; i+1 < len(chain); i++ {
 		w.encBuf, _ = e.tbl.node(chain[i], w.encBuf)
-		if err := decodeGlobal(e.sys, w.ms, w.baseQ, w.encBuf); err != nil {
+		if err := w.decode(w.encBuf); err != nil {
 			return moves // unreachable: the table only holds valid encodings
 		}
-		w.moves = enabledMoves(e.sys, w.ms, w.baseQ, w.moves)
+		w.moves = enabledMoves(e.c, w.ms, w.baseQ, w.moves)
 		mid := e.tbl.metaOf(chain[i+1]).moveID
 		if int(mid) >= len(w.moves) {
 			return moves // unreachable: moveID indexes the parent's move list

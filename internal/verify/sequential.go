@@ -4,8 +4,9 @@ package verify
 // threaded BFS over cloned machines and string state keys, retained as
 // the independent oracle for the parallel engine (DESIGN.md §12). The
 // differential tests pin Explore's results against it configuration by
-// configuration, so the two implementations must agree move for move —
-// both delegate to the shared enabledMoves/applyMove semantics.
+// configuration, so the two implementations must agree move for move:
+// both enumerate with enabledMoves, and this engine applies each move
+// with the reference applyMove where Explore uses the frame path.
 
 import (
 	"strings"
@@ -42,7 +43,7 @@ type sexplorer struct {
 // semantics match Explore, except Workers is ignored and
 // StopAtFirstViolation stops mid-level (immediately after the finding).
 func ExploreSequential(sys *System, opts Options) (*Result, error) {
-	progs, err := compileSystem(sys)
+	c, err := compileSystem(sys)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +53,7 @@ func ExploreSequential(sys *System, opts Options) (*Result, error) {
 	start := time.Now()
 
 	initial := &snode{
-		machines: newMachines(progs),
+		machines: newMachines(c.progs),
 		queues:   make([][]expr.Value, len(sys.Routes)),
 	}
 	initial.key = globalKey(sys, initial.machines, initial.queues)
@@ -79,7 +80,7 @@ func ExploreSequential(sys *System, opts Options) (*Result, error) {
 		if cur.depth > depth {
 			depth = cur.depth
 		}
-		moveBuf = enabledMoves(sys, cur.machines, cur.queues, moveBuf)
+		moveBuf = enabledMoves(c, cur.machines, cur.queues, moveBuf)
 		productive := false
 		for _, mv := range moveBuf {
 			next := cloneSnode(cur)

@@ -164,11 +164,11 @@ func TestTraceReplayDeadlock(t *testing.T) {
 	}
 
 	// Rebuild the deadlocked configuration and exhaust its moves.
-	progs, err := compileSystem(sys)
+	c, err := compileSystem(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := newMachines(progs)
+	ms := newMachines(c.progs)
 	queues := make([][]expr.Value, len(sys.Routes))
 	deliverArgs := deliverArgsFor(sys)
 	for _, mv := range dl.Moves {
@@ -177,7 +177,7 @@ func TestTraceReplayDeadlock(t *testing.T) {
 		}
 	}
 	before := encodeGlobal(sys, ms, queues, nil)
-	for _, mv := range enabledMoves(sys, ms, queues, nil) {
+	for _, mv := range enabledMoves(c, ms, queues, nil) {
 		msCopy := make([]*fsm.Machine, len(ms))
 		for i, m := range ms {
 			msCopy[i] = m.Clone()

@@ -15,11 +15,12 @@
 //
 //   - Explore is the production engine: a level-synchronised parallel
 //     search over canonical byte-encoded states, deduplicated in a
-//     sharded visited table. Its results are deterministic and identical
-//     for any worker count.
+//     sharded visited table. Machines step on the frame path (StepEv)
+//     and in-flight messages are interned bytes. Its results are
+//     deterministic and identical for any worker count.
 //   - ExploreSequential is the reference engine: the original cloned-
-//     machine BFS, kept as the independent oracle the differential tests
-//     pin Explore against.
+//     machine BFS over by-name Step and value queues, kept as the
+//     independent oracle the differential tests pin Explore against.
 //
 // Each call owns its worklist and visited set, so concurrent checks —
 // even of the same system — are safe.
@@ -81,7 +82,9 @@ type System struct {
 	Env    []EnvEvent
 }
 
-// Snapshot is the observable global state handed to invariants.
+// Snapshot is the observable global state handed to invariants. Replay
+// returns a fresh one the caller owns; see Invariant.Fn for the lifetime
+// of the one an invariant receives.
 type Snapshot struct {
 	// States holds each machine's current state name.
 	States []string
@@ -94,7 +97,11 @@ type Snapshot struct {
 // Invariant is a named safety property over global states.
 type Invariant struct {
 	Name string
-	Fn   func(*Snapshot) error
+	// Fn checks one state. The snapshot and everything it holds — the
+	// slices, the Vars maps, the queued values — are valid only during
+	// the call: Explore refills one snapshot per worker in place for
+	// every new state. Fn must not retain or modify them.
+	Fn func(*Snapshot) error
 }
 
 // Violation kinds.
@@ -241,14 +248,46 @@ type Result struct {
 	Stats Stats
 }
 
+// compiled is a System lowered once per exploration: every spec's
+// program plus the tables the frame path steps through. It is read-only
+// once built, so Explore's workers share one.
+type compiled struct {
+	sys   *System
+	progs []*fsm.Program
+	// envEv[i] and routeEv[r] resolve Env[i].Event and Routes[r].Event on
+	// their machines; an event the machine does not declare resolves to
+	// -1, which no state accepts.
+	envEv   []fsm.EventID
+	routeEv []fsm.EventID
+	// envBind[i][k] is binding k of Env[i] (one empty binding when Args
+	// is empty).
+	envBind [][]binding
+	// routeErr[r] is the error Step reports when a route r message is
+	// bound to Param; nil when the event takes exactly that message.
+	routeErr []error
+	// shapes[r] is the consumer's shape for route r's message, nil when
+	// the consumer does not declare it.
+	shapes []*expr.MsgShape
+	// outRoutes[m] maps the shape of each message machine m emits to
+	// the routes it travels, in route order.
+	outRoutes []map[*expr.MsgShape][]int
+}
+
+// binding is an env argument binding in parameter order, or the error
+// Step reports for it.
+type binding struct {
+	args []expr.Value
+	err  error
+}
+
 // compileSystem validates the system and compiles every spec. A spec
 // that fails fsm.Check is refused: the model checker verifies *checked*
 // specs against system-level properties the static checker cannot see.
-func compileSystem(sys *System) ([]*fsm.Program, error) {
+func compileSystem(sys *System) (*compiled, error) {
 	if len(sys.Specs) == 0 {
 		return nil, errors.New("verify: system has no machines")
 	}
-	progs := make([]*fsm.Program, len(sys.Specs))
+	c := &compiled{sys: sys, progs: make([]*fsm.Program, len(sys.Specs))}
 	for i, spec := range sys.Specs {
 		report := fsm.Check(spec)
 		if !report.OK() {
@@ -258,7 +297,7 @@ func compileSystem(sys *System) ([]*fsm.Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		progs[i] = prog
+		c.progs[i] = prog
 	}
 	for _, r := range sys.Routes {
 		if r.From < 0 || r.From >= len(sys.Specs) || r.To < 0 || r.To >= len(sys.Specs) {
@@ -273,7 +312,54 @@ func compileSystem(sys *System) ([]*fsm.Program, error) {
 			return nil, fmt.Errorf("verify: env event %s references machine %d out of range", env.Event, env.Machine)
 		}
 	}
-	return progs, nil
+
+	eventID := func(m int, name string) fsm.EventID {
+		if ev, ok := c.progs[m].EventID(name); ok {
+			return ev
+		}
+		return -1
+	}
+	c.envEv = make([]fsm.EventID, len(sys.Env))
+	c.envBind = make([][]binding, len(sys.Env))
+	for i, env := range sys.Env {
+		ev := eventID(env.Machine, env.Event)
+		c.envEv[i] = ev
+		named := env.Args
+		if len(named) == 0 {
+			named = []map[string]expr.Value{nil}
+		}
+		c.envBind[i] = make([]binding, len(named))
+		if ev < 0 {
+			continue // never enabled
+		}
+		for k, args := range named {
+			b := &c.envBind[i][k]
+			b.args, b.err = c.progs[env.Machine].PositionalArgs(ev, args)
+		}
+	}
+	c.routeEv = make([]fsm.EventID, len(sys.Routes))
+	c.routeErr = make([]error, len(sys.Routes))
+	c.shapes = make([]*expr.MsgShape, len(sys.Routes))
+	c.outRoutes = make([]map[*expr.MsgShape][]int, len(sys.Specs))
+	for m := range c.outRoutes {
+		c.outRoutes[m] = make(map[*expr.MsgShape][]int)
+	}
+	for ri, r := range sys.Routes {
+		ev := eventID(r.To, r.Event)
+		c.routeEv[ri] = ev
+		c.shapes[ri] = c.progs[r.To].MsgShape(r.Message)
+		if ev >= 0 {
+			// Binding checks only the argument's kind and message name,
+			// which every message on the route shares.
+			_, c.routeErr[ri] = c.progs[r.To].PositionalArgs(ev,
+				map[string]expr.Value{r.Param: expr.MsgView(r.Message, nil)})
+		}
+		// A message the producer does not declare is one it cannot emit.
+		if shape := c.progs[r.From].MsgShape(r.Message); shape != nil {
+			c.outRoutes[r.From][shape] = append(c.outRoutes[r.From][shape], ri)
+		}
+	}
+	return c, nil
 }
 
 func newMachines(progs []*fsm.Program) []*fsm.Machine {
@@ -297,39 +383,32 @@ func deliverArgsFor(sys *System) []map[string]expr.Value {
 // enabledMoves appends the nondeterministic choices of the given state
 // to buf. The enumeration order is part of the checker's semantics: a
 // state's move list is identical in both engines and across runs, and
-// parent links store indexes into it.
-func enabledMoves(sys *System, ms []*fsm.Machine, queues [][]expr.Value, buf []Move) []Move {
+// parent links store indexes into it. Only queue lengths are read, so
+// both engines' queue representations serve.
+func enabledMoves[Q any](c *compiled, ms []*fsm.Machine, queues [][]Q, buf []Move) []Move {
 	moves := buf[:0]
-	for ei := range sys.Env {
-		env := &sys.Env[ei]
-		m := ms[env.Machine]
-		if len(m.Spec().TransitionsFrom(m.State(), env.Event)) == 0 &&
-			!m.Spec().Ignored(m.State(), env.Event) {
+	for ei := range c.sys.Env {
+		env := &c.sys.Env[ei]
+		if !ms[env.Machine].Accepts(c.envEv[ei]) {
 			continue // event not executable here
 		}
-		n := len(env.Args)
-		if n == 0 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
+		for i := range c.envBind[ei] {
 			moves = append(moves, Move{
 				Kind: MoveEnv, Env: ei, Machine: env.Machine, Event: env.Event, ArgIdx: i,
 			})
 		}
 	}
-	for ri := range sys.Routes {
-		r := &sys.Routes[ri]
-		q := queues[ri]
-		if len(q) == 0 {
+	for ri := range c.sys.Routes {
+		r := &c.sys.Routes[ri]
+		n := len(queues[ri])
+		if n == 0 {
 			continue
 		}
 		slots := 1
 		if r.Reorder {
-			slots = len(q)
+			slots = n
 		}
-		dst := ms[r.To]
-		if len(dst.Spec().TransitionsFrom(dst.State(), r.Event)) > 0 ||
-			dst.Spec().Ignored(dst.State(), r.Event) {
+		if ms[r.To].Accepts(c.routeEv[ri]) {
 			for qi := 0; qi < slots; qi++ {
 				moves = append(moves, Move{Kind: MoveDeliver, Route: ri, QIdx: qi})
 			}
@@ -353,8 +432,11 @@ type applyResult struct {
 	envNoop bool
 }
 
-// applyMove executes one move against ms and queues in place. Machines
-// are mutated directly; queue slices are replaced copy-on-write (the
+// applyMove executes one move against ms and queues in place: the
+// reference move semantics, stepping machines through the by-name Step
+// and keeping in-flight messages as values. ExploreSequential and Replay
+// run on it; Explore's frame path (bytestate.go) must agree with it move
+// for move. Machines are mutated directly; queue slices are replaced copy-on-write (the
 // previous backing arrays are never written), so callers may share queue
 // contents across shallow header copies. onOverrun, when non-nil, is
 // invoked for every overrun drop caused by the move.
@@ -499,11 +581,11 @@ func describeMoves(moves []Move) []string {
 // with the snapshot at the point of failure — which is exactly what a
 // step-error violation's final move is expected to do.
 func Replay(sys *System, moves []Move) (*Snapshot, []uint64, error) {
-	progs, err := compileSystem(sys)
+	c, err := compileSystem(sys)
 	if err != nil {
 		return nil, nil, err
 	}
-	ms := newMachines(progs)
+	ms := newMachines(c.progs)
 	queues := make([][]expr.Value, len(sys.Routes))
 	overruns := make([]uint64, len(sys.Routes))
 	deliverArgs := deliverArgsFor(sys)
